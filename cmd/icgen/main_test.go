@@ -29,13 +29,13 @@ func TestGenerateModels(t *testing.T) {
 				t.Fatalf("run: %v", err)
 			}
 			if filepath.Ext(out) == ".edges" {
-				r, err := semiext.OpenReader(out)
+				v, err := semiext.OpenView(out)
 				if err != nil {
 					t.Fatalf("reading edge file: %v", err)
 				}
-				defer r.Close()
-				if r.NumVertices() != 200 {
-					t.Errorf("edge file has %d vertices, want 200", r.NumVertices())
+				defer v.Close()
+				if v.NumVertices() != 200 {
+					t.Errorf("edge file has %d vertices, want 200", v.NumVertices())
 				}
 				return
 			}
@@ -74,19 +74,19 @@ func TestGenerateErrors(t *testing.T) {
 }
 
 // TestGenerateV2EdgeFile: -format v2 writes the compressed layout, which
-// the reader detects; a bad format is an error.
+// the View detects; a bad format is an error.
 func TestGenerateV2EdgeFile(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "g.edges")
 	if err := run("planted", 0, 0, 0, 10, 12, 3, false, "", out, "v2"); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	r, err := semiext.OpenReader(out)
+	v, err := semiext.OpenView(out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	if r.Format() != semiext.FormatV2 {
-		t.Errorf("written format v%d, want v2", r.Format())
+	defer v.Close()
+	if v.Format() != semiext.FormatV2 {
+		t.Errorf("written format v%d, want v2", v.Format())
 	}
 	if err := run("ba", 50, 3, 0, 0, 0, 1, false, "", out, "flat"); err == nil {
 		t.Error("bad format: want error")

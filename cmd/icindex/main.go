@@ -57,7 +57,6 @@ import (
 	"time"
 
 	"influcomm"
-	"influcomm/internal/graph"
 	"influcomm/internal/semiext"
 )
 
@@ -173,13 +172,9 @@ func recode(cfg config, logf func(string, ...any)) error {
 		return err
 	}
 	defer v.Close()
-	adj, err := v.AdjPrefix(v.NumVertices(), v.NumEdges(), workers, nil)
+	g, err := v.Graph(workers)
 	if err != nil {
 		return fmt.Errorf("decoding %s: %w", cfg.recodePath, err)
-	}
-	g, err := graph.FromUpAdjacency(v.Weights(), v.UpDegrees(), adj, nil)
-	if err != nil {
-		return fmt.Errorf("rebuilding graph from %s: %w", cfg.recodePath, err)
 	}
 	inSize := int64(0)
 	if info, err := os.Stat(cfg.recodePath); err == nil {

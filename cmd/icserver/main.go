@@ -4,8 +4,7 @@
 //
 //	icserver -graph g.txt [-index g.icx] [-addr :8080] [-pagerank]
 //	         [-dataset name=path[,backend=semiext][,index=p.icx]
-//	                  [,prefix-cache=SIZE][,mode=auto|mmap|stream]
-//	                  [,workers=N][,mutable=true]
+//	                  [,prefix-cache=SIZE][,workers=N][,mutable=true]
 //	                  [,reindex=auto|off][,debounce=DUR][,repair-frac=F]]...
 //	         [-cache 256] [-maxk 10000] [-query-timeout 30s]
 //	         [-max-inflight 64] [-read-timeout 10s] [-write-timeout 60s]
@@ -27,12 +26,11 @@
 // (backend omitted) from a graph file, or semi-externally
 // (backend=semiext) from an edge file written by icindex -edges — the
 // graph then never fully loads; queries read exactly the weight-ranked
-// prefix they need through a shared memory-mapped view (mode=stream forces
-// the sequential reader), and prefix-cache=SIZE (e.g. 64M) budgets a
-// shared decoded-prefix cache that serves cache-fitting queries at
-// in-memory speed. workers=N lets each large query evaluate its candidate
-// prefixes on up to N goroutines (byte-identical results; edge files in
-// the compressed v2 layout also bulk-decode in parallel). mutable=true
+// prefix they need through a shared memory-mapped view, and
+// prefix-cache=SIZE (e.g. 64M) budgets a shared decoded-prefix cache that
+// serves cache-fitting queries at in-memory speed. workers=N splits bulk
+// decodes of edge files in the compressed v2 layout across N goroutines
+// (byte-identical results). mutable=true
 // opens an edge file as a dynamic dataset:
 // POST /v1/admin/datasets/{name}/updates applies edge insertions and
 // deletions online (queries keep serving from immutable snapshots, never
@@ -49,7 +47,7 @@
 // in place); without
 // reindex=auto, the first effective update drops the index for good. On
 // mutable datasets workers=N bounds the rebuild/repair parallelism
-// instead of query parallelism. Datasets can
+// instead. Datasets can
 // also be loaded and unloaded at runtime
 // through the admin endpoints — protect those with -admin-token (or keep
 // the port private): they can unload live datasets and open server-side
@@ -95,7 +93,6 @@ type datasetSpec struct {
 	path        string
 	backend     string
 	index       string
-	mode        string
 	prefixCache int64
 	workers     int
 	mutable     bool
@@ -135,12 +132,12 @@ func parseByteSize(s string) (int64, error) {
 }
 
 // parseDatasetSpec parses
-// "name=path[,backend=semiext][,index=p.icx][,prefix-cache=SIZE][,mode=m][,workers=N][,mutable=true][,reindex=auto|off][,debounce=DUR][,repair-frac=F]".
+// "name=path[,backend=semiext][,index=p.icx][,prefix-cache=SIZE][,workers=N][,mutable=true][,reindex=auto|off][,debounce=DUR][,repair-frac=F]".
 func parseDatasetSpec(spec string) (datasetSpec, error) {
 	var d datasetSpec
 	name, rest, ok := strings.Cut(spec, "=")
 	if !ok || name == "" || rest == "" {
-		return d, fmt.Errorf("bad -dataset %q: want name=path[,backend=semiext][,index=file][,prefix-cache=SIZE][,mode=auto|mmap|stream][,workers=N][,mutable=true][,reindex=auto|off][,debounce=DUR][,repair-frac=F]", spec)
+		return d, fmt.Errorf("bad -dataset %q: want name=path[,backend=semiext][,index=file][,prefix-cache=SIZE][,workers=N][,mutable=true][,reindex=auto|off][,debounce=DUR][,repair-frac=F]", spec)
 	}
 	d.name = name
 	parts := strings.Split(rest, ",")
@@ -155,8 +152,6 @@ func parseDatasetSpec(spec string) (datasetSpec, error) {
 			d.backend = v
 		case "index":
 			d.index = v
-		case "mode":
-			d.mode = v
 		case "prefix-cache":
 			n, err := parseByteSize(v)
 			if err != nil {
@@ -235,7 +230,7 @@ func main() {
 	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	flag.StringVar(&cfg.pprofAddr, "pprof", "", "serve net/http/pprof on this separate address (empty = off; keep it private)")
 	flag.BoolVar(&cfg.usePagerank, "pagerank", false, "replace vertex weights with PageRank scores")
-	flag.Func("dataset", "additional dataset: name=path[,backend=semiext][,index=file][,prefix-cache=SIZE][,mode=auto|mmap|stream][,workers=N][,mutable=true][,reindex=auto|off][,debounce=DUR][,repair-frac=F] (repeatable)", func(spec string) error {
+	flag.Func("dataset", "additional dataset: name=path[,backend=semiext][,index=file][,prefix-cache=SIZE][,workers=N][,mutable=true][,reindex=auto|off][,debounce=DUR][,repair-frac=F] (repeatable)", func(spec string) error {
 		d, err := parseDatasetSpec(spec)
 		if err != nil {
 			return err
@@ -324,9 +319,6 @@ func serve(ctx context.Context, cfg config, ready chan<- string) error {
 		var sopts []influcomm.StoreOption
 		if d.prefixCache > 0 {
 			sopts = append(sopts, influcomm.WithPrefixCacheBytes(d.prefixCache))
-		}
-		if d.mode != "" {
-			sopts = append(sopts, influcomm.WithEdgeFileMode(d.mode))
 		}
 		if d.workers > 0 {
 			sopts = append(sopts, influcomm.WithQueryWorkers(d.workers))

@@ -151,11 +151,11 @@ func TestParseDatasetSpec(t *testing.T) {
 	if d.name != "wiki" || d.path != "/data/wiki.edges" || d.backend != "semiext" || d.index != "/data/wiki.icx" {
 		t.Errorf("parsed %+v", d)
 	}
-	d, err = parseDatasetSpec("big=/d/g.edges,backend=semiext,prefix-cache=64M,mode=mmap")
+	d, err = parseDatasetSpec("big=/d/g.edges,backend=semiext,prefix-cache=64M")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.prefixCache != 64<<20 || d.mode != "mmap" {
+	if d.prefixCache != 64<<20 {
 		t.Errorf("parsed %+v", d)
 	}
 	d, err = parseDatasetSpec("dyn=/d/g.edges,mutable=true")

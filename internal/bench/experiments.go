@@ -480,13 +480,11 @@ func Fig16(cfg Config) ([]*Figure, error) {
 }
 
 // SemiServe measures the serving tier's semi-external access paths against
-// the in-memory backend, varying k: the residual per-query streaming
-// reader ("stream"), the shared zero-copy view rebuilt per query ("mmap"),
-// and the decoded-prefix cache with pooled engines ("prefix-cache", 64 MiB
-// budget, warmed by one query). The figure is the zero-copy refactor's
-// ledger: stream → mmap is what eliminating per-query opens and per-edge
-// decoding buys, mmap → prefix-cache is what cross-query sharing buys, and
-// the "memory" column is the floor the cache approaches.
+// the in-memory backend, varying k: the shared zero-copy view rebuilt per
+// query ("mmap") and the decoded-prefix cache with pooled engines
+// ("prefix-cache", 64 MiB budget, warmed by one query). mmap →
+// prefix-cache is what cross-query sharing buys, and the "memory" column
+// is the floor the cache approaches.
 func SemiServe(cfg Config) ([]*Figure, error) {
 	var out []*Figure
 	ctx := context.Background()
@@ -512,7 +510,6 @@ func SemiServe(cfg Config) ([]*Figure, error) {
 			label string
 			opts  []store.OpenOption
 		}{
-			{"stream", []store.OpenOption{store.WithEdgeFileMode("stream")}},
 			{"mmap", nil},
 			{"prefix-cache", []store.OpenOption{store.WithPrefixCacheBytes(64 << 20)}},
 		} {

@@ -168,65 +168,7 @@ func TopKCtx(ctx context.Context, g *graph.Graph, k int, gamma int32, opts Optio
 	if err := validateQuery(g, k, gamma); err != nil {
 		return nil, err
 	}
-	// One-shot queries route through the backend-agnostic driver; the
-	// pooled path (Pool.TopK) keeps its scratch-reusing twin runTopK.
 	return TopKOver(ctx, GraphSource(g), k, gamma, opts)
-}
-
-// runTopK is the shared LocalSearch driver behind TopKCtx and Pool.TopK.
-// When scratch is non-nil every round runs into it and enumeration works on
-// a compact copy of the tail, so the scratch (and the engine) can go back
-// to a pool while the returned Result owns only its own memory. A non-nil
-// enum replaces EnumIC's fresh per-query state; the caller recycles it.
-func runTopK(ctx context.Context, eng *Engine, scratch *CVS, enum *EnumState, g *graph.Graph, k int, opts Options) (*Result, error) {
-	n := g.NumVertices()
-	p := initialPrefix(g, k, eng.Gamma(), opts)
-	flags := WantSeq
-	if opts.NonContainment {
-		flags |= WantNC
-	}
-	var st Stats
-	var cvs *CVS
-	for {
-		var err error
-		cvs, err = eng.RunInto(scratch, p, 0, flags)
-		if err != nil {
-			return nil, err
-		}
-		st.Rounds++
-		st.TotalWork += g.PrefixSize(p)
-		cnt := countOf(cvs, opts.NonContainment)
-		if cnt >= k || p == n {
-			st.Communities = cnt
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		p = growPrefix(g, p, opts)
-	}
-	st.FinalPrefix = p
-	st.FinalSize = g.PrefixSize(p)
-
-	if scratch != nil {
-		if opts.NonContainment {
-			// Non-containment keynodes are sparse among all keynodes, so
-			// the whole tail may be needed to collect k of them.
-			cvs = cvs.CompactTail(-1)
-		} else {
-			cvs = cvs.CompactTail(k)
-		}
-	}
-	var comms []*Community
-	switch {
-	case opts.NonContainment:
-		comms = nonContainmentCommunities(g, cvs, k)
-	case enum != nil:
-		comms = enum.Process(g, cvs, k)
-	default:
-		comms = EnumIC(g, cvs, k)
-	}
-	return &Result{Communities: comms, Stats: st}, nil
 }
 
 func countOf(c *CVS, nonContainment bool) int {

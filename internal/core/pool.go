@@ -50,33 +50,14 @@ func (p *Pool) Put(e *Engine) {
 	p.engines.Put(e)
 }
 
-// TopK answers a top-k query with pooled scratch state: equivalent to
-// TopKCtx but allocation-free in steady state apart from the returned
+// TopK answers a top-k query with pooled scratch state: TopKOver over the
+// pool's graph, allocation-free in steady state apart from the returned
 // Result, which owns its own memory.
 func (p *Pool) TopK(ctx context.Context, k int, gamma int32, opts Options) (*Result, error) {
-	if err := validateQuery(p.g, k, gamma); err != nil {
-		return nil, err
+	if p.g == nil {
+		return nil, errNilGraph
 	}
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	eng := p.Get(gamma)
-	defer p.Put(eng)
-	eng.SetContext(ctx)
-	scratch := p.buffers.Get().(*CVS)
-	defer p.buffers.Put(scratch)
-	var enum *EnumState
-	if !opts.NonContainment {
-		enum = p.enums.Get().(*EnumState)
-		defer func() {
-			enum.Recycle()
-			p.enums.Put(enum)
-		}()
-	}
-	return runTopK(ctx, eng, scratch, enum, p.g, k, opts)
+	return TopKOver(ctx, poolSource{p}, k, gamma, opts)
 }
 
 // Stream answers a progressive query with a pooled engine: equivalent to

@@ -38,7 +38,7 @@ func StreamCtx(ctx context.Context, g *graph.Graph, gamma int32, opts Options, y
 }
 
 // runStream is the shared LocalSearch-P driver behind StreamCtx and
-// Pool.Stream. Unlike runTopK it never reuses CVS buffers across rounds:
+// Pool.Stream. Unlike TopKOver it never reuses CVS buffers across rounds:
 // progressive enumeration retains each round's group slices in the
 // communities it yields, so every round's CVS must own its memory.
 func runStream(ctx context.Context, eng *Engine, g *graph.Graph, opts Options, yield func(*Community) bool) (Stats, error) {

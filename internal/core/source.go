@@ -48,9 +48,17 @@ func (s memSource) PrefixSize(p int) int64                { return s.g.PrefixSiz
 func (s memSource) PrefixForSize(want int64) int          { return s.g.PrefixForSize(want) }
 func (s memSource) Materialize(int) (*graph.Graph, error) { return s.g, nil }
 
-// Fork returns the source itself: an immutable in-memory graph serves any
-// number of concurrent rounds without per-fork state.
-func (s memSource) Fork(context.Context) (SearchSource, func()) { return s, func() {} }
+// poolSource is a memSource whose graph carries an engine pool: Pool.TopK
+// runs TopKOver over it, so pooled queries check engines, CVS buffers and
+// enumeration state out of the pool. Like memSource it is pointer-shaped,
+// so passing it as a SearchSource does not allocate.
+type poolSource struct{ p *Pool }
+
+func (s poolSource) NumVertices() int                      { return s.p.g.NumVertices() }
+func (s poolSource) PrefixSize(p int) int64                { return s.p.g.PrefixSize(p) }
+func (s poolSource) PrefixForSize(want int64) int          { return s.p.g.PrefixForSize(want) }
+func (s poolSource) Materialize(int) (*graph.Graph, error) { return s.p.g, nil }
+func (s poolSource) SourcePool(*graph.Graph) *Pool         { return s.p }
 
 // GraphSource returns the SearchSource view of an in-memory graph:
 // Materialize hands back g itself, so TopKOver over it is exactly TopKCtx.
@@ -164,29 +172,25 @@ func TopKOver(ctx context.Context, src SearchSource, k int, gamma int32, opts Op
 	if scratch != nil {
 		// cvs aliases the pooled buffer; enumeration retains group slices,
 		// so hand it a compact copy and let the buffer go back to the pool.
+		// Non-containment keynodes are sparse among all keynodes, so the
+		// whole tail may be needed to collect k of them.
 		if opts.NonContainment {
 			cvs = cvs.CompactTail(-1)
 		} else {
 			cvs = cvs.CompactTail(k)
 		}
 	}
-	return &Result{Communities: enumerateCommunities(g, cvs, pool, k, opts), Stats: st}, nil
-}
-
-// enumerateCommunities materializes the final communities from a peeled
-// CVS: the shared tail of TopKOver and the parallel driver, so the two can
-// never drift apart. A non-nil pool supplies recycled enumeration state.
-func enumerateCommunities(g *graph.Graph, cvs *CVS, pool *Pool, k int, opts Options) []*Community {
+	var comms []*Community
 	switch {
 	case opts.NonContainment:
-		return nonContainmentCommunities(g, cvs, k)
+		comms = nonContainmentCommunities(g, cvs, k)
 	case pool != nil:
 		enum := pool.enums.Get().(*EnumState)
-		comms := enum.Process(g, cvs, k)
+		comms = enum.Process(g, cvs, k)
 		enum.Recycle()
 		pool.enums.Put(enum)
-		return comms
 	default:
-		return EnumIC(g, cvs, k)
+		comms = EnumIC(g, cvs, k)
 	}
+	return &Result{Communities: comms, Stats: st}, nil
 }

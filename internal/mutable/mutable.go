@@ -35,7 +35,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 
@@ -174,33 +173,20 @@ func NewStore(g *graph.Graph) (*Store, error) {
 // the whole graph is resident — mutability needs the full adjacency — so
 // the edge file here is the persistence format, not a working set bound.
 func Open(path string) (*Store, error) {
-	r, err := semiext.OpenReader(path)
+	v, err := semiext.OpenView(path)
 	if err != nil {
 		return nil, err
 	}
-	defer r.Close()
-	n := r.NumVertices()
-	weights := make([]float64, n)
-	upDeg := make([]int32, n)
-	for u := 0; u < n; u++ {
-		weights[u] = r.Weight(int32(u))
-		upDeg[u] = r.UpDegree(int32(u))
-	}
-	adj := make([]int32, 0, r.NumEdges())
-	for {
-		if adj, err = r.ReadVertexAdj(adj); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			return nil, err
-		}
-	}
-	g, err := graph.FromUpAdjacency(weights, upDeg, adj, nil)
+	// The loaded graph shares no memory with the view, so the mapping is
+	// released before any snapshot is published.
+	g, err := v.Graph(1)
+	format := v.Format()
+	v.Close()
 	if err != nil {
 		return nil, fmt.Errorf("mutable: %s: %w", path, err)
 	}
 
-	s := &Store{edgePath: path, edgeFormat: r.Format()}
+	s := &Store{edgePath: path, edgeFormat: format}
 	s.snap.Store(&snapshot{g: g, pool: core.NewPool(g)})
 	log, batches, err := semiext.OpenUpdateLog(semiext.UpdateLogPath(path))
 	if err != nil {

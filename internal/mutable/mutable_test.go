@@ -463,14 +463,14 @@ func TestCompactionPreservesFormat(t *testing.T) {
 			if err := st.Close(); err != nil {
 				t.Fatal(err)
 			}
-			r, err := semiext.OpenReader(path)
+			v, err := semiext.OpenView(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r.Format() != format {
-				t.Fatalf("compacted file has format v%d, want v%d", r.Format(), format)
+			if v.Format() != format {
+				t.Fatalf("compacted file has format v%d, want v%d", v.Format(), format)
 			}
-			r.Close()
+			v.Close()
 			re, err := Open(path)
 			if err != nil {
 				t.Fatal(err)
@@ -478,6 +478,64 @@ func TestCompactionPreservesFormat(t *testing.T) {
 			defer re.Close()
 			if got := fingerprint(t, re.Graph()); got != want {
 				t.Fatal("compacted store diverges from pre-close state")
+			}
+		})
+	}
+}
+
+// TestOpenLeavesNothingAliasingEdgeFile: Open loads the edge file into
+// memory the store owns. Truncating the file in place afterwards must not
+// disturb queries or updates — a snapshot still reading through a mapping
+// of the file would fault on the vanished pages.
+func TestOpenLeavesNothingAliasingEdgeFile(t *testing.T) {
+	for _, format := range []int{semiext.FormatV1, semiext.FormatV2} {
+		t.Run(fmt.Sprintf("v%d", format), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(23))
+			g := randomGraph(rng, 40)
+			// The edge file stores rank IDs; the in-memory reference uses
+			// the same IDs so both stores read one update batch alike.
+			weights := make([]float64, g.NumVertices())
+			for u := range weights {
+				weights[u] = g.Weight(int32(u))
+			}
+			rg, err := graph.FromEdges(weights, edgeSet(g))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := NewStore(rg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "g.edges")
+			if err := semiext.WriteEdgeFileFormat(path, g, format); err != nil {
+				t.Fatal(err)
+			}
+			st, err := Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Abandon()
+			if err := os.Truncate(path, 0); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := fingerprint(t, st.Graph()), fingerprint(t, ref.Graph()); got != want {
+				t.Fatal("store over a truncated edge file diverges from the in-memory reference")
+			}
+			ctx := context.Background()
+			batch := randomBatch(rng, ref.Graph(), 12)
+			got, err := st.ApplyUpdates(ctx, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ref.ApplyUpdates(ctx, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("batch stats %+v, reference %+v", got, want)
+			}
+			if got, want := fingerprint(t, st.Graph()), fingerprint(t, ref.Graph()); got != want {
+				t.Fatal("store after an update diverges from the in-memory reference")
 			}
 		})
 	}

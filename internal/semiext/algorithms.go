@@ -1,6 +1,7 @@
 package semiext
 
 import (
+	"context"
 	"fmt"
 
 	"influcomm/internal/baseline"
@@ -11,7 +12,9 @@ import (
 // IOStats quantifies the disk and memory behavior of a semi-external run;
 // the quantities plotted in Figures 16 and 17.
 type IOStats struct {
-	// BytesRead is the edge payload volume fetched from disk.
+	// BytesRead is the edge payload volume fetched from disk for the final
+	// prefix: 4 bytes per loaded edge on a v1 file, the compressed bytes
+	// through the end of the last touched block on v2.
 	BytesRead int64
 	// EdgesLoaded is the peak number of edges resident in memory: the
 	// "size of visited graph" of Figure 17.
@@ -24,80 +27,55 @@ type IOStats struct {
 	Communities int
 }
 
-// buildPrefix assembles the in-memory prefix graph [0, p) from the vertex
-// weights and the streamed flat up-adjacency. Vertex IDs equal global
-// ranks, so results are directly comparable with in-memory algorithms. The
-// stream delivers lists in exactly the layout FromUpAdjacency consumes, so
-// assembly is O(p + E) with no sorting or deduplication.
-func buildPrefix(r *Reader, p int, upAdj []int32) (*graph.Graph, error) {
-	return graph.FromUpAdjacency(r.weights[:p], r.upDeg[:p], upAdj, nil)
+// viewSource runs core.TopKOver over a View: the View answers the
+// prefix-size geometry from its resident up-degrees, and each round
+// decodes just the prefix [0, p) from the edge file.
+type viewSource struct {
+	*View
+	buf []int32
+}
+
+func (s *viewSource) Materialize(p int) (*graph.Graph, error) {
+	return s.PrefixGraph(p, 1, &s.buf, nil)
 }
 
 // LocalSearchSE answers a top-k influential γ-community query over the edge
-// file at path, reading the stream strictly sequentially and only as far as
-// the geometric growth of LocalSearch requires (see the semi-external
-// remark of §3.1). Communities are returned in decreasing influence order;
-// vertex IDs are global ranks.
+// file at path, reading only as far into the file as the geometric growth
+// of LocalSearch requires (see the semi-external remark of §3.1): it is
+// core.TopKOver over the file's View. Communities are returned in
+// decreasing influence order; vertex IDs are global ranks.
 func LocalSearchSE(path string, k int, gamma int32) ([]*core.Community, IOStats, error) {
 	var st IOStats
 	if k < 1 || gamma < 1 {
 		return nil, st, fmt.Errorf("semiext: invalid query k=%d γ=%d", k, gamma)
 	}
-	r, err := OpenReader(path)
+	v, err := OpenView(path)
 	if err != nil {
 		return nil, st, err
 	}
-	defer r.Close()
-
-	n := r.NumVertices()
-	if n == 0 {
+	defer v.Close()
+	if v.NumVertices() == 0 {
 		return nil, st, fmt.Errorf("semiext: empty graph in %s", path)
 	}
-	p := k + int(gamma)
-	if p > n {
-		p = n
+	res, err := core.TopKOver(context.Background(), &viewSource{View: v}, k, gamma, core.Options{})
+	if err != nil {
+		return nil, st, err
 	}
-	var edges []int32
-	var cvs *core.CVS
-	var g *graph.Graph
-	for {
-		// Stream up-adjacency lists until the prefix [0, p) is complete.
-		for r.NextVertex() < p {
-			edges, err = r.ReadVertexAdj(edges)
-			if err != nil {
-				return nil, st, err
-			}
-		}
-		g, err = buildPrefix(r, p, edges)
-		if err != nil {
-			return nil, st, err
-		}
-		eng := core.NewEngine(g, gamma)
-		cvs = eng.Run(p, 0, core.WantSeq)
-		st.Rounds++
-		if cvs.Count() >= k || p == n {
-			st.Communities = cvs.Count()
-			break
-		}
-		// Grow to at least twice the current size, extending vertex by
-		// vertex using the in-memory up-degree vector (no disk seeks).
-		target := 2 * (int64(p) + int64(len(edges)))
-		size := int64(p) + int64(len(edges))
-		for p < n && size < target {
-			size += 1 + int64(r.UpDegree(int32(p)))
-			p++
-		}
+	p := res.Stats.FinalPrefix
+	st = IOStats{
+		BytesRead:   v.payloadSpan(p),
+		EdgesLoaded: v.edges(p),
+		Rounds:      res.Stats.Rounds,
+		Communities: res.Stats.Communities,
 	}
-	st.BytesRead = r.BytesRead()
-	st.EdgesLoaded = int64(len(edges))
-	if r.NumEdges() > 0 {
-		st.VisitedFraction = float64(st.EdgesLoaded) / float64(r.NumEdges())
+	if v.NumEdges() > 0 {
+		st.VisitedFraction = float64(st.EdgesLoaded) / float64(v.NumEdges())
 	}
-	return core.EnumIC(g, cvs, k), st, nil
+	return res.Communities, st, nil
 }
 
 // OnlineAllSE is the semi-external OnlineAll of [27]: it ingests the entire
-// edge stream in decreasing weight order (the file order) into memory and
+// edge file in decreasing weight order (the file order) into memory and
 // runs the global OnlineAll enumeration. Its visited graph is therefore
 // always the whole graph — the behavior Figure 17 contrasts with
 // LocalSearchSE. ([27] additionally evicts edges of already-reported
@@ -109,24 +87,16 @@ func OnlineAllSE(path string, k int, gamma int32) ([]baseline.Community, IOStats
 	if k < 1 || gamma < 1 {
 		return nil, st, fmt.Errorf("semiext: invalid query k=%d γ=%d", k, gamma)
 	}
-	r, err := OpenReader(path)
+	v, err := OpenView(path)
 	if err != nil {
 		return nil, st, err
 	}
-	defer r.Close()
-
-	n := r.NumVertices()
+	defer v.Close()
+	n := v.NumVertices()
 	if n == 0 {
 		return nil, st, fmt.Errorf("semiext: empty graph in %s", path)
 	}
-	var edges []int32
-	for r.NextVertex() < n {
-		edges, err = r.ReadVertexAdj(edges)
-		if err != nil {
-			return nil, st, err
-		}
-	}
-	g, err := buildPrefix(r, n, edges)
+	g, err := v.Graph(1)
 	if err != nil {
 		return nil, st, err
 	}
@@ -134,8 +104,8 @@ func OnlineAllSE(path string, k int, gamma int32) ([]baseline.Community, IOStats
 	if err != nil {
 		return nil, st, err
 	}
-	st.BytesRead = r.BytesRead()
-	st.EdgesLoaded = int64(len(edges))
+	st.BytesRead = v.payloadSpan(n)
+	st.EdgesLoaded = v.NumEdges()
 	st.VisitedFraction = 1
 	st.Rounds = 1
 	st.Communities = bs.Communities

@@ -3,18 +3,18 @@
 // weight order (an edge's weight is the minimum weight of its endpoints,
 // following [27]), with only per-vertex information held in memory.
 //
-// LocalSearchSE is the semi-external version of LocalSearch-P: it reads the
-// on-disk edge stream strictly sequentially and only as far as the query
-// needs. OnlineAllSE is the semi-external version of OnlineAll [27], which
-// must ingest the entire file. The two reproduce Figure 16 (time) and
-// Figure 17 (size of visited graph).
+// LocalSearchSE is the semi-external version of LocalSearch: it reads only
+// the prefix of the on-disk edge file the query's geometric growth reaches.
+// OnlineAllSE is the semi-external version of OnlineAll [27], which must
+// ingest the entire file. The two reproduce Figure 16 (time) and Figure 17
+// (size of visited graph). Every read goes through a View, the one decoder
+// for both file layouts.
 package semiext
 
 import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"os"
 
@@ -30,8 +30,7 @@ const (
 // Edge-file format versions. FormatV1 stores adjacency as fixed 4-byte
 // little-endian ranks; FormatV2 stores each list delta-gap + varint encoded
 // behind a block offset index (see varint.go and docs/FORMATS.md). Both
-// open through the same Reader and View; writers choose with
-// WriteEdgeFileFormat.
+// open through OpenView; writers choose with WriteEdgeFileFormat.
 const (
 	FormatV1 = 1
 	FormatV2 = 2
@@ -173,498 +172,4 @@ func writeEdgeFileV2(w *bufio.Writer, g *graph.Graph) error {
 		}
 	}
 	return nil
-}
-
-// Reader streams an edge file. Per the semi-external model it materializes
-// only O(n) per-vertex state (weights and up-degrees); edges are delivered
-// strictly sequentially and accounted in BytesRead.
-type Reader struct {
-	c       io.Closer // underlying file; nil for in-memory streams
-	br      *bufio.Reader
-	size    int64 // total stream length in bytes
-	n       int
-	m       int64
-	weights []float64
-	upDeg   []int32
-
-	format     int     // FormatV1 or FormatV2
-	blockVerts int     // v2: vertices per block-index granule
-	blockOff   []int64 // v2: payload byte offset per block, plus total
-
-	nextVertex int   // first vertex whose up-edges have not been read
-	bytesRead  int64 // edge payload bytes consumed so far
-	headerSize int64
-
-	// scratch receives each v1 adjacency list in one bulk read before the
-	// entries are decoded, and adjScratch each decoded v2 list; both grow to
-	// the largest list seen and survive Reopen, so a pooled reader stops
-	// allocating per query.
-	scratch    []byte
-	adjScratch []int32
-}
-
-// OpenReader opens path and loads the per-vertex information.
-func OpenReader(path string) (*Reader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("semiext: opening edge file: %w", err)
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("semiext: opening edge file: %w", err)
-	}
-	r := &Reader{c: f, br: bufio.NewReaderSize(f, 1<<20), size: fi.Size()}
-	if err := r.readHeader(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return r, nil
-}
-
-// NewReader streams an edge file already held in memory (or any reader of
-// known length). It applies exactly the header validation OpenReader does;
-// the fuzzer drives the format through this path without touching disk.
-func NewReader(src io.Reader, size int64) (*Reader, error) {
-	r := &Reader{br: bufio.NewReader(src), size: size}
-	if err := r.readHeader(); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// FileMeta is the validated per-file state an open materializes: the
-// per-vertex vectors, the payload geometry, and — for v2 files — the block
-// offset index. A store that opened and validated an edge file once hands
-// its meta to pooled Readers (Reopen) so the per-query cost is an open and
-// a seek, not a header re-parse. Adopters must treat the slices as
-// immutable.
-type FileMeta struct {
-	Format     int
-	M          int64
-	Weights    []float64
-	UpDeg      []int32
-	PayloadOff int64
-	BlockVerts int     // v2 only: vertices per index granule
-	BlockOff   []int64 // v2 only: payload byte offset per block, plus total
-}
-
-// Meta returns the reader's validated file state for adoption by Reopen on
-// pooled readers.
-func (r *Reader) Meta() FileMeta {
-	return FileMeta{
-		Format:     r.format,
-		M:          r.m,
-		Weights:    r.weights,
-		UpDeg:      r.upDeg,
-		PayloadOff: r.headerSize,
-		BlockVerts: r.blockVerts,
-		BlockOff:   r.blockOff,
-	}
-}
-
-// Reopen opens path positioned directly at the edge payload, adopting
-// per-vertex state a previous open of the same file already loaded and
-// validated (see FileMeta). A store serving many queries over one edge file
-// opens the header once and then pays only an open+seek per query instead
-// of re-reading the vector sections; the reader never writes to the adopted
-// slices. Only the file size is re-checked — if the file was swapped for
-// one with a different shape, the edge-stream validation (range, order and
-// block-boundary checks in ReadVertexAdj/ReadVertexEdges) still rejects it.
-//
-// The buffered reader's 1 MiB buffer and the decode scratch are kept
-// across Reopen calls, so a pool of Readers serves the residual streaming
-// path with zero steady-state allocations. The zero Reader is valid to
-// Reopen.
-func (r *Reader) Reopen(path string, meta FileMeta) error {
-	n := len(meta.Weights)
-	if len(meta.UpDeg) != n {
-		return fmt.Errorf("semiext: weights hold %d vertices, up-degrees %d", n, len(meta.UpDeg))
-	}
-	switch meta.Format {
-	case FormatV1:
-		if meta.PayloadOff != 20+12*int64(n) {
-			return fmt.Errorf("semiext: v1 payload offset %d inconsistent with n=%d", meta.PayloadOff, n)
-		}
-	case FormatV2:
-		if meta.BlockVerts < 1 || len(meta.BlockOff) != (n+meta.BlockVerts-1)/meta.BlockVerts+1 {
-			return fmt.Errorf("semiext: v2 meta has %d block offsets for n=%d", len(meta.BlockOff), n)
-		}
-	default:
-		return fmt.Errorf("semiext: unknown edge-file format %d", meta.Format)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("semiext: opening edge file: %w", err)
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("semiext: opening edge file: %w", err)
-	}
-	var payloadLen int64
-	if meta.Format == FormatV1 {
-		payloadLen = 4 * meta.M
-	} else {
-		payloadLen = meta.BlockOff[len(meta.BlockOff)-1]
-	}
-	if fi.Size() < meta.PayloadOff || fi.Size()-meta.PayloadOff < payloadLen {
-		f.Close()
-		return fmt.Errorf("semiext: file holds %d bytes, too short for n=%d m=%d", fi.Size(), n, meta.M)
-	}
-	if _, err := f.Seek(meta.PayloadOff, io.SeekStart); err != nil {
-		f.Close()
-		return fmt.Errorf("semiext: seeking past header: %w", err)
-	}
-	if r.br == nil {
-		r.br = bufio.NewReaderSize(f, 1<<20)
-	} else {
-		r.br.Reset(f)
-	}
-	r.c = f
-	r.size = fi.Size()
-	r.n = n
-	r.m = meta.M
-	r.weights = meta.Weights
-	r.upDeg = meta.UpDeg
-	r.format = meta.Format
-	r.blockVerts = meta.BlockVerts
-	r.blockOff = meta.BlockOff
-	r.headerSize = meta.PayloadOff
-	r.nextVertex = 0
-	r.bytesRead = 0
-	return nil
-}
-
-func (r *Reader) readHeader() error {
-	le := binary.LittleEndian
-	var hdr [32]byte
-	if _, err := io.ReadFull(r.br, hdr[:20]); err != nil {
-		return fmt.Errorf("semiext: reading header: %w", err)
-	}
-	switch le.Uint32(hdr[0:]) {
-	case fileMagic:
-		r.format = FormatV1
-	case fileMagic2:
-		r.format = FormatV2
-		if _, err := io.ReadFull(r.br, hdr[20:32]); err != nil {
-			return fmt.Errorf("semiext: reading header: %w", err)
-		}
-	default:
-		return fmt.Errorf("semiext: bad magic %#x", le.Uint32(hdr[0:]))
-	}
-	r.n = int(le.Uint64(hdr[4:]))
-	r.m = int64(le.Uint64(hdr[12:]))
-	if r.n < 0 || r.m < 0 || int64(r.n) > math.MaxInt32 {
-		return fmt.Errorf("semiext: implausible header n=%d m=%d", r.n, r.m)
-	}
-	// The stream must cover the header's claims; this rejects truncated or
-	// hostile files before any header-sized allocation. The v1 edge payload
-	// is compared by division so an absurd m cannot overflow the arithmetic;
-	// v2 bounds every section with subtraction from the known size.
-	var degBytes int64
-	var nb int
-	if r.format == FormatV1 {
-		if vecEnd := 20 + 12*int64(r.n); r.size < vecEnd || (r.size-vecEnd)/4 < r.m {
-			return fmt.Errorf("semiext: file holds %d bytes, too short for header n=%d m=%d", r.size, r.n, r.m)
-		}
-		r.headerSize = 20 + int64(r.n)*12
-	} else {
-		r.blockVerts = int(le.Uint32(hdr[20:]))
-		db := le.Uint64(hdr[24:])
-		if r.blockVerts < 1 {
-			return fmt.Errorf("semiext: implausible v2 block granule %d", r.blockVerts)
-		}
-		if db > uint64(r.size) {
-			return fmt.Errorf("semiext: file holds %d bytes, too short for %d degree bytes", r.size, db)
-		}
-		degBytes = int64(db)
-		nb = (r.n + r.blockVerts - 1) / r.blockVerts
-		rem := r.size - 32 - 8*int64(r.n)
-		if rem < 0 || rem-degBytes < 0 || rem-degBytes-8*int64(nb+1) < r.m {
-			return fmt.Errorf("semiext: file holds %d bytes, too short for header n=%d m=%d", r.size, r.n, r.m)
-		}
-		r.headerSize = 32 + 8*int64(r.n) + degBytes + 8*int64(nb+1)
-	}
-	r.weights = make([]float64, r.n)
-	r.upDeg = make([]int32, r.n)
-	var buf [8]byte
-	for i := 0; i < r.n; i++ {
-		if _, err := io.ReadFull(r.br, buf[:]); err != nil {
-			return fmt.Errorf("semiext: reading weights: %w", err)
-		}
-		w := math.Float64frombits(le.Uint64(buf[:]))
-		// The format stores vertices in rank order, so weights must be
-		// finite and non-increasing; rejecting violations here keeps every
-		// access path (streaming, mmap view, direct CSR assembly) in
-		// agreement about which files are valid.
-		if math.IsNaN(w) || math.IsInf(w, 0) {
-			return fmt.Errorf("semiext: vertex %d has non-finite weight %v", i, w)
-		}
-		if i > 0 && w > r.weights[i-1] {
-			return fmt.Errorf("semiext: weights not in decreasing rank order at vertex %d", i)
-		}
-		r.weights[i] = w
-	}
-	var degSum int64
-	if r.format == FormatV1 {
-		for i := 0; i < r.n; i++ {
-			if _, err := io.ReadFull(r.br, buf[:4]); err != nil {
-				return fmt.Errorf("semiext: reading degrees: %w", err)
-			}
-			d := int32(le.Uint32(buf[:4]))
-			// Up-neighbors have strictly smaller rank, so vertex i can have
-			// at most i of them; anything else is corruption the edge-stream
-			// checks would only catch after wasted reads.
-			if d < 0 || int64(d) > int64(i) {
-				return fmt.Errorf("semiext: vertex %d claims %d up-neighbors, at most %d possible", i, d, i)
-			}
-			r.upDeg[i] = d
-			degSum += int64(d)
-		}
-	} else {
-		var consumed int64
-		for i := 0; i < r.n; i++ {
-			d, k, err := readUvarint(r.br)
-			if err != nil {
-				return fmt.Errorf("semiext: reading degrees: %w", err)
-			}
-			consumed += int64(k)
-			if consumed > degBytes || d > uint64(i) {
-				return fmt.Errorf("semiext: vertex %d claims %d up-neighbors, at most %d possible", i, d, i)
-			}
-			r.upDeg[i] = int32(d)
-			degSum += int64(d)
-		}
-		if consumed != degBytes {
-			return fmt.Errorf("semiext: degree section holds %d bytes, header claims %d", consumed, degBytes)
-		}
-	}
-	if degSum != r.m {
-		return fmt.Errorf("semiext: up-degrees sum to %d edges, header claims %d", degSum, r.m)
-	}
-	if r.format == FormatV2 {
-		off, err := readBlockIndex(r.br, nb, r.m, r.size-r.headerSize)
-		if err != nil {
-			return err
-		}
-		r.blockOff = off
-	}
-	return nil
-}
-
-// readUvarint decodes one unsigned varint from br, returning the value and
-// the bytes consumed. Unlike binary.ReadUvarint it reports the byte count,
-// which the v2 paths account against the declared section lengths. Both call
-// sites expect a varint to be present, so running out of stream is reported
-// as ErrUnexpectedEOF — a clean io.EOF would read as end-of-payload to
-// streaming callers.
-func readUvarint(br *bufio.Reader) (uint64, int, error) {
-	var x uint64
-	var s uint
-	for i := 0; i < binary.MaxVarintLen64; i++ {
-		b, err := br.ReadByte()
-		if err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return 0, i, err
-		}
-		if b < 0x80 {
-			if i == binary.MaxVarintLen64-1 && b > 1 {
-				return 0, i + 1, fmt.Errorf("varint overflows 64 bits")
-			}
-			return x | uint64(b)<<s, i + 1, nil
-		}
-		x |= uint64(b&0x7f) << s
-		s += 7
-	}
-	return 0, binary.MaxVarintLen64, fmt.Errorf("varint overflows 64 bits")
-}
-
-// readBlockIndex reads and validates the nb+1 entry v2 block offset index:
-// offsets are payload-relative, start at zero, never decrease, and the
-// final entry — the encoded payload length — fits the file and covers at
-// least one byte per edge.
-func readBlockIndex(br *bufio.Reader, nb int, m, payloadCap int64) ([]int64, error) {
-	off := make([]int64, nb+1)
-	var buf [8]byte
-	prev := uint64(0)
-	for b := 0; b <= nb; b++ {
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return nil, fmt.Errorf("semiext: reading block index: %w", err)
-		}
-		o := binary.LittleEndian.Uint64(buf[:])
-		if (b == 0 && o != 0) || o < prev || o > uint64(payloadCap) {
-			return nil, fmt.Errorf("semiext: corrupt block index at entry %d", b)
-		}
-		off[b] = int64(o)
-		prev = o
-	}
-	if off[nb] < m {
-		return nil, fmt.Errorf("semiext: payload of %d bytes cannot hold %d edges", off[nb], m)
-	}
-	return off, nil
-}
-
-// Format returns the edge-file format version: FormatV1 or FormatV2.
-func (r *Reader) Format() int { return r.format }
-
-// NumVertices returns the vertex count.
-func (r *Reader) NumVertices() int { return r.n }
-
-// NumEdges returns the edge count.
-func (r *Reader) NumEdges() int64 { return r.m }
-
-// Weight returns the weight of vertex u (rank order, as in graph.Graph).
-func (r *Reader) Weight(u int32) float64 { return r.weights[u] }
-
-// UpDegree returns |N≥(u)| without touching the edge stream.
-func (r *Reader) UpDegree(u int32) int32 { return r.upDeg[u] }
-
-// NextVertex returns the first vertex whose adjacency has not been
-// streamed; the in-memory subgraph currently covers the prefix
-// [0, NextVertex()).
-func (r *Reader) NextVertex() int { return r.nextVertex }
-
-// BytesRead returns the number of edge payload bytes consumed.
-func (r *Reader) BytesRead() int64 { return r.bytesRead }
-
-// nextList bulk-reads the raw bytes of the next unread vertex's adjacency
-// list into the reader's scratch buffer: one ReadFull per list instead of
-// one per edge.
-func (r *Reader) nextList() ([]byte, int32, error) {
-	u := int32(r.nextVertex)
-	need := 4 * int(r.upDeg[u])
-	if cap(r.scratch) < need {
-		r.scratch = make([]byte, need)
-	}
-	buf := r.scratch[:need]
-	if _, err := io.ReadFull(r.br, buf); err != nil {
-		return nil, u, fmt.Errorf("semiext: reading adjacency of vertex %d: %w", u, err)
-	}
-	return buf, u, nil
-}
-
-// nextListV2 streams the delta-gap varint encoded list of the next unread
-// vertex into the reader's int32 scratch, enforcing the same invariants the
-// bulk View decoder does: block boundaries land on their declared offsets,
-// entries ascend strictly within [0, owner), and a fully consumed stream
-// ends exactly at the indexed payload length.
-func (r *Reader) nextListV2() ([]int32, int32, error) {
-	u := int32(r.nextVertex)
-	if int(u)%r.blockVerts == 0 {
-		if want := r.blockOff[int(u)/r.blockVerts]; r.bytesRead != want {
-			return nil, u, fmt.Errorf("semiext: block %d starts at payload byte %d, index says %d", int(u)/r.blockVerts, r.bytesRead, want)
-		}
-	}
-	d := int(r.upDeg[u])
-	if cap(r.adjScratch) < d {
-		r.adjScratch = make([]int32, d)
-	}
-	list := r.adjScratch[:d]
-	var cur uint64
-	for j := 0; j < d; j++ {
-		x, k, err := readUvarint(r.br)
-		if err != nil {
-			return nil, u, fmt.Errorf("semiext: reading adjacency of vertex %d: %w", u, err)
-		}
-		r.bytesRead += int64(k)
-		if j == 0 {
-			cur = x
-		} else {
-			if x >= uint64(u) {
-				return nil, u, fmt.Errorf("semiext: corrupt adjacency of vertex %d", u)
-			}
-			cur += x + 1
-		}
-		if cur >= uint64(u) {
-			return nil, u, fmt.Errorf("semiext: corrupt adjacency of vertex %d", u)
-		}
-		list[j] = int32(cur)
-	}
-	r.nextVertex++
-	if r.nextVertex == r.n {
-		if want := r.blockOff[len(r.blockOff)-1]; r.bytesRead != want {
-			return nil, u, fmt.Errorf("semiext: payload ends at byte %d, index says %d", r.bytesRead, want)
-		}
-	}
-	return list, u, nil
-}
-
-// ReadVertexEdges streams the up-adjacency list of the next unread vertex,
-// appending (v, u) pairs to edges, and returns the extended slice. Calls
-// must proceed in vertex order; io.EOF is never returned for vertices whose
-// lists are empty.
-func (r *Reader) ReadVertexEdges(edges [][2]int32) ([][2]int32, error) {
-	if r.nextVertex >= r.n {
-		return edges, io.EOF
-	}
-	if r.format == FormatV2 {
-		list, u, err := r.nextListV2()
-		if err != nil {
-			return edges, err
-		}
-		for _, v := range list {
-			edges = append(edges, [2]int32{v, u})
-		}
-		return edges, nil
-	}
-	buf, u, err := r.nextList()
-	if err != nil {
-		return edges, err
-	}
-	for i := 0; i < len(buf); i += 4 {
-		v := int32(binary.LittleEndian.Uint32(buf[i:]))
-		if v < 0 || v >= u {
-			return edges, fmt.Errorf("semiext: corrupt up-edge (%d,%d)", v, u)
-		}
-		edges = append(edges, [2]int32{v, u})
-		r.bytesRead += 4
-	}
-	r.nextVertex++
-	return edges, nil
-}
-
-// ReadVertexAdj is ReadVertexEdges in the flat layout FromUpAdjacency
-// consumes: the up-neighbor ranks themselves are appended to adj (their
-// owner is implicit — the vertex whose turn it is), saving half the memory
-// traffic of the pair representation and handing the prefix builder its
-// input with no further transformation.
-func (r *Reader) ReadVertexAdj(adj []int32) ([]int32, error) {
-	if r.nextVertex >= r.n {
-		return adj, io.EOF
-	}
-	if r.format == FormatV2 {
-		list, _, err := r.nextListV2()
-		if err != nil {
-			return adj, err
-		}
-		return append(adj, list...), nil
-	}
-	buf, u, err := r.nextList()
-	if err != nil {
-		return adj, err
-	}
-	for i := 0; i < len(buf); i += 4 {
-		v := int32(binary.LittleEndian.Uint32(buf[i:]))
-		if v < 0 || v >= u {
-			return adj, fmt.Errorf("semiext: corrupt up-edge (%d,%d)", v, u)
-		}
-		adj = append(adj, v)
-		r.bytesRead += 4
-	}
-	r.nextVertex++
-	return adj, nil
-}
-
-// Close releases the file handle; it is a no-op for in-memory readers. A
-// closed Reader can be rebound to a file with Reopen, keeping its buffers.
-func (r *Reader) Close() error {
-	if r.c == nil {
-		return nil
-	}
-	err := r.c.Close()
-	r.c = nil
-	return err
 }

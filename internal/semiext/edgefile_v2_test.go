@@ -3,9 +3,7 @@ package semiext
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -40,45 +38,21 @@ func TestEdgeFileV2RoundTrip(t *testing.T) {
 		path := writeTempFormat(t, g, FormatV2)
 		want := flatUpAdj(g)
 
-		r, err := OpenReader(path)
-		if err != nil {
-			t.Fatalf("seed %d: open: %v", seed, err)
-		}
-		if r.Format() != FormatV2 {
-			t.Fatalf("seed %d: format = %d, want %d", seed, r.Format(), FormatV2)
-		}
-		if r.NumVertices() != g.NumVertices() || r.NumEdges() != g.NumEdges() {
-			t.Fatalf("seed %d: header (%d,%d), want (%d,%d)",
-				seed, r.NumVertices(), r.NumEdges(), g.NumVertices(), g.NumEdges())
-		}
-		for u := int32(0); int(u) < g.NumVertices(); u++ {
-			if r.Weight(u) != g.Weight(u) || r.UpDegree(u) != g.UpDegree(u) {
-				t.Fatalf("seed %d: per-vertex state differs at %d", seed, u)
-			}
-		}
-		var flat []int32
-		for r.NextVertex() < r.NumVertices() {
-			flat, err = r.ReadVertexAdj(flat)
-			if err != nil {
-				t.Fatalf("seed %d: streaming: %v", seed, err)
-			}
-		}
-		r.Close()
-		if len(flat) != len(want) {
-			t.Fatalf("seed %d: streamed %d entries, want %d", seed, len(flat), len(want))
-		}
-		for i := range want {
-			if flat[i] != want[i] {
-				t.Fatalf("seed %d: streamed adjacency differs at %d", seed, i)
-			}
-		}
-
 		v, err := OpenView(path)
 		if err != nil {
 			t.Fatalf("seed %d: open view: %v", seed, err)
 		}
 		if v.Format() != FormatV2 {
 			t.Fatalf("seed %d: view format = %d, want %d", seed, v.Format(), FormatV2)
+		}
+		if v.NumVertices() != g.NumVertices() || v.NumEdges() != g.NumEdges() {
+			t.Fatalf("seed %d: header (%d,%d), want (%d,%d)",
+				seed, v.NumVertices(), v.NumEdges(), g.NumVertices(), g.NumEdges())
+		}
+		for u := int32(0); int(u) < g.NumVertices(); u++ {
+			if v.Weights()[u] != g.Weight(u) || v.UpDegrees()[u] != g.UpDegree(u) {
+				t.Fatalf("seed %d: per-vertex state differs at %d", seed, u)
+			}
 		}
 		if v.ZeroCopy() {
 			t.Fatalf("seed %d: v2 view claims zero-copy adjacency", seed)
@@ -89,6 +63,9 @@ func TestEdgeFileV2RoundTrip(t *testing.T) {
 		got, err := v.AdjPrefix(v.NumVertices(), v.NumEdges(), 1, nil)
 		if err != nil {
 			t.Fatalf("seed %d: AdjPrefix: %v", seed, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: decoded %d entries, want %d", seed, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
@@ -120,37 +97,6 @@ func TestEdgeFileV2RoundTrip(t *testing.T) {
 			t.Fatalf("seed %d: rebuilt graph invalid: %v", seed, err)
 		}
 		v.Close()
-	}
-}
-
-func TestEdgeFileV2ReopenStreamsPayload(t *testing.T) {
-	g := gen.Random(300, 7, 11)
-	path := writeTempFormat(t, g, FormatV2)
-	v, err := OpenView(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v.Close()
-	var r Reader
-	if err := r.Reopen(path, v.Meta()); err != nil {
-		t.Fatalf("Reopen from view meta: %v", err)
-	}
-	defer r.Close()
-	var flat []int32
-	for r.NextVertex() < r.NumVertices() {
-		flat, err = r.ReadVertexAdj(flat)
-		if err != nil {
-			t.Fatalf("streaming after Reopen: %v", err)
-		}
-	}
-	want := flatUpAdj(g)
-	if len(flat) != len(want) {
-		t.Fatalf("streamed %d entries, want %d", len(flat), len(want))
-	}
-	for i := range want {
-		if flat[i] != want[i] {
-			t.Fatalf("adjacency differs at %d", i)
-		}
 	}
 }
 
@@ -256,9 +202,9 @@ func TestLocalSearchSEOverV2MatchesInMemory(t *testing.T) {
 	}
 }
 
-// TestEdgeFileV2RejectsCorrupt replays v2-specific corruptions against both
-// open paths and both decode paths: the streaming Reader and the mmap View
-// must accept and reject exactly the same files.
+// TestEdgeFileV2RejectsCorrupt replays v2-specific corruptions against the
+// View: header damage is rejected at open, by both entry points, and
+// payload damage when the adjacency is decoded, at any worker count.
 func TestEdgeFileV2RejectsCorrupt(t *testing.T) {
 	g := gen.Random(200, 6, 4)
 	path := writeTempFormat(t, g, FormatV2)
@@ -271,31 +217,13 @@ func TestEdgeFileV2RejectsCorrupt(t *testing.T) {
 	indexOff := 32 + 8*n + degBytes
 	payloadOff := indexOff + 8*2 // n=200 < blockVerts: one block, two index entries
 
-	openErrs := func(img []byte) (rerr, verr error) {
-		_, rerr = NewReader(bytes.NewReader(img), int64(len(img)))
+	openErrs := func(img []byte) (ferr, verr error) {
+		bad := filepath.Join(t.TempDir(), "bad.edges")
+		if err := os.WriteFile(bad, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, ferr = OpenView(bad)
 		_, verr = ViewFromBytes(img)
-		return
-	}
-	decodeErrs := func(img []byte) (rerr, verr error) {
-		r, err := NewReader(bytes.NewReader(img), int64(len(img)))
-		if err != nil {
-			t.Fatalf("reader rejected image at open: %v", err)
-		}
-		var adj []int32
-		for {
-			adj, err = r.ReadVertexAdj(adj)
-			if err != nil {
-				break
-			}
-		}
-		if !errors.Is(err, io.EOF) {
-			rerr = err
-		}
-		v, err := ViewFromBytes(img)
-		if err != nil {
-			t.Fatalf("view rejected image at open: %v", err)
-		}
-		_, verr = v.AdjPrefix(v.NumVertices(), v.NumEdges(), 1, nil)
 		return
 	}
 
@@ -310,27 +238,32 @@ func TestEdgeFileV2RejectsCorrupt(t *testing.T) {
 	for name, mutate := range atOpen {
 		img := append([]byte(nil), data...)
 		mutate(img)
-		rerr, verr := openErrs(img)
-		if rerr == nil {
-			t.Errorf("%s: reader accepted", name)
+		ferr, verr := openErrs(img)
+		if ferr == nil {
+			t.Errorf("%s: OpenView accepted", name)
 		}
 		if verr == nil {
-			t.Errorf("%s: view accepted", name)
+			t.Errorf("%s: ViewFromBytes accepted", name)
 		}
 	}
 	// Truncation is caught at open by the size checks.
-	rerr, verr := openErrs(data[:len(data)-3])
-	if rerr == nil || verr == nil {
-		t.Errorf("truncated: reader err %v, view err %v; want both non-nil", rerr, verr)
+	ferr, verr := openErrs(data[:len(data)-3])
+	if ferr == nil || verr == nil {
+		t.Errorf("truncated: OpenView err %v, ViewFromBytes err %v; want both non-nil", ferr, verr)
 	}
 
 	// Payload corruption passes the header checks and must be caught when
-	// the adjacency is actually decoded — by both paths.
+	// the adjacency is actually decoded.
 	img := append([]byte(nil), data...)
 	img[len(img)-1] ^= 0x80 // last payload byte grows a continuation bit
-	rerr, verr = decodeErrs(img)
-	if rerr == nil || verr == nil {
-		t.Errorf("payload continuation bit: reader err %v, view err %v; want both non-nil", rerr, verr)
+	v, err := ViewFromBytes(img)
+	if err != nil {
+		t.Fatalf("view rejected image at open: %v", err)
+	}
+	for _, workers := range []int{1, 4} {
+		if _, err := v.AdjPrefix(v.NumVertices(), v.NumEdges(), workers, nil); err == nil {
+			t.Errorf("payload continuation bit: decode with %d workers accepted", workers)
+		}
 	}
 }
 
@@ -359,11 +292,7 @@ func TestRecodeByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer v.Close()
-		adj, err := v.AdjPrefix(v.NumVertices(), v.NumEdges(), 1, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rg, err := graph.FromUpAdjacency(v.Weights(), v.UpDegrees(), adj, nil)
+		rg, err := v.Graph(1)
 		if err != nil {
 			t.Fatal(err)
 		}

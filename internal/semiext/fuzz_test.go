@@ -1,9 +1,6 @@
 package semiext
 
 import (
-	"bytes"
-	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,15 +8,87 @@ import (
 	"influcomm/internal/gen"
 )
 
-// FuzzEdgeFile feeds arbitrary bytes to the edge-file reader: NewReader
-// (the same validation path OpenReader uses) must either reject the input
-// or hand back a reader whose stream upholds the format invariants — no
-// panics, no over-reads, and a fully streamed file delivers exactly the
-// edge count its header claims.
+// FuzzEdgeFile feeds arbitrary bytes to the edge-file decoder: ViewFromBytes
+// (the same validation OpenView applies) must either reject the input or
+// hand back a View whose adjacency decodes identically at any worker
+// count — no panics, no over-reads, exactly the edge count the header
+// claims. Whenever the decoded image assembles into a graph, the writer
+// must re-encode that graph into a file the View decodes to the same
+// adjacency.
 func FuzzEdgeFile(f *testing.F) {
+	addEdgeFileSeeds(f, func(seed uint64) int { return 20 + int(seed)*7 }, 3)
+	f.Add([]byte{})
+	f.Add([]byte{0x5a, 0xe5, 0xdb, 0x5e})
+	f.Add([]byte{0x5b, 0xe5, 0xdb, 0x5e})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v, err := ViewFromBytes(data)
+		if err != nil {
+			return // rejected, fine
+		}
+		n, m := v.NumVertices(), v.NumEdges()
+		adj, err := v.AdjPrefix(n, m, 1, nil)
+		par, perr := v.AdjPrefix(n, m, 4, nil)
+		if (err == nil) != (perr == nil) {
+			t.Fatalf("decode worker count changes acceptance: 1 worker err %v, 4 workers err %v", err, perr)
+		}
+		if err != nil {
+			if v.Format() == FormatV1 {
+				t.Fatalf("v1 adjacency read failed on an accepted image: %v", err)
+			}
+			return // corrupt v2 payload, detected by the decoder
+		}
+		if int64(len(adj)) != m {
+			t.Fatalf("decoded %d entries, header claims %d", len(adj), m)
+		}
+		for i := range adj {
+			if par[i] != adj[i] {
+				t.Fatalf("decode differs between worker counts at entry %d", i)
+			}
+		}
+		if v.Format() == FormatV1 && v.payloadSpan(n) != 4*m {
+			t.Fatalf("payload span = %d, want %d", v.payloadSpan(n), 4*m)
+		}
+		g, err := v.Graph(1)
+		if err != nil {
+			return // entries out of range or out of order, rejected at assembly
+		}
+		path := filepath.Join(t.TempDir(), "re.edges")
+		if err := WriteEdgeFileFormat(path, g, v.Format()); err != nil {
+			t.Fatalf("re-encoding an accepted image: %v", err)
+		}
+		rv, err := OpenView(path)
+		if err != nil {
+			t.Fatalf("re-encoded image rejected: %v", err)
+		}
+		defer rv.Close()
+		if rv.NumVertices() != n || rv.NumEdges() != m {
+			t.Fatalf("re-encoded shape (%d,%d), want (%d,%d)", rv.NumVertices(), rv.NumEdges(), n, m)
+		}
+		for u := 0; u < n; u++ {
+			if rv.Weights()[u] != v.Weights()[u] || rv.UpDegrees()[u] != v.UpDegrees()[u] {
+				t.Fatalf("re-encoded per-vertex state differs at %d", u)
+			}
+		}
+		re, err := rv.AdjPrefix(n, m, 1, nil)
+		if err != nil {
+			t.Fatalf("decoding the re-encoded image: %v", err)
+		}
+		for i := range adj {
+			if re[i] != adj[i] {
+				t.Fatalf("re-encoded adjacency differs at entry %d", i)
+			}
+		}
+	})
+}
+
+// addEdgeFileSeeds adds, for seeds 1..3, the edge file of a random graph
+// on size(seed) vertices in each format: whole, cut to its 20-byte fixed
+// header, and short by cut bytes.
+func addEdgeFileSeeds(f *testing.F, size func(seed uint64) int, cut int) {
 	seedDir := f.TempDir()
 	for seed := uint64(1); seed <= 3; seed++ {
-		g := gen.Random(20+int(seed)*7, 4, seed)
+		g := gen.Random(size(seed), 4, seed)
 		for _, format := range []int{FormatV1, FormatV2} {
 			path := filepath.Join(seedDir, "seed.edges")
 			if err := WriteEdgeFileFormat(path, g, format); err != nil {
@@ -31,41 +100,9 @@ func FuzzEdgeFile(f *testing.F) {
 			}
 			f.Add(data)
 			f.Add(data[:20])
-			f.Add(data[:len(data)-3])
+			f.Add(data[:len(data)-cut])
 		}
 	}
-	f.Add([]byte{})
-	f.Add([]byte{0x5a, 0xe5, 0xdb, 0x5e})
-	f.Add([]byte{0x5b, 0xe5, 0xdb, 0x5e})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := NewReader(bytes.NewReader(data), int64(len(data)))
-		if err != nil {
-			return // rejected, fine
-		}
-		var edges [][2]int32
-		for {
-			edges, err = r.ReadVertexEdges(edges)
-			if err != nil {
-				break
-			}
-		}
-		if !errors.Is(err, io.EOF) {
-			return // corrupt edge payload, detected mid-stream
-		}
-		if int64(len(edges)) != r.NumEdges() {
-			t.Fatalf("streamed %d edges, header claims %d", len(edges), r.NumEdges())
-		}
-		if r.Format() == FormatV1 && r.BytesRead() != 4*r.NumEdges() {
-			t.Fatalf("BytesRead = %d, want %d", r.BytesRead(), 4*r.NumEdges())
-		}
-		n := int32(r.NumVertices())
-		for _, e := range edges {
-			if e[0] < 0 || e[0] >= e[1] || e[1] >= n {
-				t.Fatalf("invalid edge (%d,%d) in %d-vertex stream", e[0], e[1], n)
-			}
-		}
-	})
 }
 
 // FuzzVarintAdjacency exercises the v2 codec directly, below the file

@@ -7,12 +7,8 @@ import (
 	"os"
 )
 
-// MmapAvailable reports whether this build can memory-map edge files; on
-// platforms without the Linux mmap path the View falls back to positioned
-// ReaderAt reads over the same API, and the store's strict "mmap" mode
-// refuses to open.
-const MmapAvailable = false
-
+// mmapFile always fails here: on platforms without the Linux mmap path the
+// View serves the same API through positioned ReaderAt reads.
 func mmapFile(*os.File, int64) ([]byte, error) {
 	return nil, errors.New("semiext: mmap not available on this platform")
 }

@@ -8,11 +8,6 @@ import (
 	"syscall"
 )
 
-// MmapAvailable reports whether this build can memory-map edge files;
-// callers that require the zero-copy path (the store's strict "mmap" mode,
-// platform-dependent tests) gate on it.
-const MmapAvailable = true
-
 // mmapFile maps the whole file read-only. The returned slice stays valid
 // after f is closed (the mapping pins the inode) and must be released with
 // munmapFile.

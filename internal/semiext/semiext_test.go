@@ -23,37 +23,52 @@ func writeTemp(t *testing.T, g *graph.Graph) string {
 func TestEdgeFileRoundTrip(t *testing.T) {
 	g := gen.Random(100, 6, 5)
 	path := writeTemp(t, g)
-	r, err := OpenReader(path)
+	v, err := OpenView(path)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	defer r.Close()
-	if r.NumVertices() != g.NumVertices() || r.NumEdges() != g.NumEdges() {
-		t.Fatalf("header (%d,%d), want (%d,%d)", r.NumVertices(), r.NumEdges(), g.NumVertices(), g.NumEdges())
+	defer v.Close()
+	if v.Format() != FormatV1 || v.NumVertices() != g.NumVertices() || v.NumEdges() != g.NumEdges() {
+		t.Fatalf("header v%d (%d,%d), want v%d (%d,%d)", v.Format(), v.NumVertices(), v.NumEdges(),
+			FormatV1, g.NumVertices(), g.NumEdges())
 	}
 	for u := int32(0); int(u) < g.NumVertices(); u++ {
-		if r.Weight(u) != g.Weight(u) {
-			t.Fatalf("weight of %d = %v, want %v", u, r.Weight(u), g.Weight(u))
+		if v.Weights()[u] != g.Weight(u) {
+			t.Fatalf("weight of %d = %v, want %v", u, v.Weights()[u], g.Weight(u))
 		}
-		if r.UpDegree(u) != g.UpDegree(u) {
-			t.Fatalf("updeg of %d = %d, want %d", u, r.UpDegree(u), g.UpDegree(u))
-		}
-	}
-	var edges []int32
-	for r.NextVertex() < r.NumVertices() {
-		edges, err = r.ReadVertexAdj(edges)
-		if err != nil {
-			t.Fatalf("streaming: %v", err)
+		if v.UpDegrees()[u] != g.UpDegree(u) {
+			t.Fatalf("updeg of %d = %d, want %d", u, v.UpDegrees()[u], g.UpDegree(u))
 		}
 	}
-	if int64(len(edges)) != g.NumEdges() {
-		t.Fatalf("streamed %d edges, want %d", len(edges), g.NumEdges())
+	want := flatUpAdj(g)
+	got, err := v.AdjPrefix(v.NumVertices(), v.NumEdges(), 1, nil)
+	if err != nil {
+		t.Fatalf("decoding: %v", err)
 	}
-	if r.BytesRead() != 4*g.NumEdges() {
-		t.Fatalf("BytesRead = %d, want %d", r.BytesRead(), 4*g.NumEdges())
+	if len(got) != len(want) {
+		t.Fatalf("decoded %d entries, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("adjacency differs at entry %d", i)
+		}
+	}
+	// Sub-range reads agree with the full read.
+	lo, hi := v.NumEdges()/4, 3*v.NumEdges()/4
+	sub, err := v.Adj(lo, hi, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range sub {
+		if sub[i] != want[lo+int64(i)] {
+			t.Fatalf("sub-range read differs at %d", i)
+		}
+	}
+	if v.payloadSpan(v.NumVertices()) != 4*g.NumEdges() {
+		t.Fatalf("payload span = %d, want %d", v.payloadSpan(v.NumVertices()), 4*g.NumEdges())
 	}
 	// Rebuild and compare structure.
-	rebuilt, err := buildPrefix(r, r.NumVertices(), edges)
+	rebuilt, err := v.Graph(1)
 	if err != nil {
 		t.Fatalf("rebuild: %v", err)
 	}
@@ -147,24 +162,28 @@ func TestLocalSearchSEReadsLess(t *testing.T) {
 }
 
 func TestEdgeFileProperty(t *testing.T) {
-	// Arbitrary random graphs round-trip through the edge file, and any
-	// prefix of the stream reconstructs exactly the prefix subgraph.
+	// Arbitrary random graphs round-trip through the edge file, any prefix
+	// of the file reconstructs exactly the prefix subgraph, and the View's
+	// resident size vector answers the same growth geometry as the graph.
 	for seed := uint64(1); seed <= 10; seed++ {
 		g := gen.Random(40+int(seed*13)%80, 5, seed)
-		path := writeTemp(t, g)
-		r, err := OpenReader(path)
+		v, err := OpenView(writeTemp(t, g))
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := g.NumVertices() / 2
-		var edges []int32
-		for r.NextVertex() < p {
-			edges, err = r.ReadVertexAdj(edges)
-			if err != nil {
-				t.Fatal(err)
+		n := g.NumVertices()
+		for p := 0; p <= n; p++ {
+			if v.PrefixSize(p) != g.PrefixSize(p) {
+				t.Fatalf("seed %d: PrefixSize(%d) = %d, want %d", seed, p, v.PrefixSize(p), g.PrefixSize(p))
 			}
 		}
-		prefix, err := buildPrefix(r, p, edges)
+		for want := int64(-1); want <= g.PrefixSize(n)+1; want++ {
+			if v.PrefixForSize(want) != g.PrefixForSize(want) {
+				t.Fatalf("seed %d: PrefixForSize(%d) = %d, want %d", seed, want, v.PrefixForSize(want), g.PrefixForSize(want))
+			}
+		}
+		p := n / 2
+		prefix, err := v.PrefixGraph(p, 1, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +196,7 @@ func TestEdgeFileProperty(t *testing.T) {
 				t.Fatalf("seed %d: prefix degree of %d differs", seed, u)
 			}
 		}
-		r.Close()
+		v.Close()
 	}
 }
 
@@ -192,7 +211,7 @@ func TestReaderRejectsTruncatedFile(t *testing.T) {
 	if err := os.WriteFile(short, data[:len(data)-8], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenReader(short); err == nil {
+	if _, err := OpenView(short); err == nil {
 		t.Error("truncated edge file: want error at open (size check)")
 	}
 }
@@ -219,9 +238,11 @@ func TestWriteEdgeFileAtomic(t *testing.T) {
 		}
 		t.Fatalf("directory holds %v, want only g.edges (temp files must not leak)", names)
 	}
-	if _, err := OpenReader(path); err != nil {
+	v, err := OpenView(path)
+	if err != nil {
 		t.Fatalf("rewritten file unreadable: %v", err)
 	}
+	v.Close()
 }
 
 func TestReaderRejectsInconsistentDegrees(t *testing.T) {
@@ -240,7 +261,7 @@ func TestReaderRejectsInconsistentDegrees(t *testing.T) {
 	if err := os.WriteFile(bad, impossible, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenReader(bad); err == nil {
+	if _, err := OpenView(bad); err == nil {
 		t.Error("up-degree exceeding rank: want error at open")
 	}
 
@@ -258,20 +279,20 @@ func TestReaderRejectsInconsistentDegrees(t *testing.T) {
 	if err := os.WriteFile(bad2, mismatch, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenReader(bad2); err == nil {
+	if _, err := OpenView(bad2); err == nil {
 		t.Error("degree sum != header edge count: want error at open")
 	}
 }
 
-func TestOpenReaderErrors(t *testing.T) {
-	if _, err := OpenReader(filepath.Join(t.TempDir(), "missing")); err == nil {
+func TestOpenViewErrors(t *testing.T) {
+	if _, err := OpenView(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Error("missing file: want error")
 	}
 	bad := filepath.Join(t.TempDir(), "bad")
 	if err := os.WriteFile(bad, []byte("not an edge file at all........"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenReader(bad); err == nil {
+	if _, err := OpenView(bad); err == nil {
 		t.Error("corrupt file: want error")
 	}
 }

@@ -15,10 +15,9 @@ import (
 // overwhelmingly common case; clustered graphs compress 3-5x against the
 // fixed 4 bytes per edge of v1.
 //
-// This file holds the codec shared by the writer, the streaming Reader and
-// the random-access View: sizing, encoding, and the bulk group decoder that
-// turns a run of encoded lists back into the flat up-adjacency layout
-// FromUpAdjacency consumes.
+// This file holds the codec shared by the writer and the View: sizing,
+// encoding, and the bulk group decoder that turns a run of encoded lists
+// back into the flat up-adjacency layout FromUpAdjacency consumes.
 
 // uvarintLen returns the encoded size of x in bytes (1..10).
 func uvarintLen(x uint64) int {

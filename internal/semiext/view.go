@@ -9,6 +9,8 @@ import (
 	"sort"
 	"sync"
 	"unsafe"
+
+	"influcomm/internal/graph"
 )
 
 // hostLittleEndian reports whether int32 values can be reinterpreted
@@ -75,18 +77,20 @@ type View struct {
 	headerSize int64
 	weights    []float64 // always decoded: the region is not 8-byte aligned
 	upDeg      []int32   // aliases the mapping on little-endian v1 mmap builds
+	// sizes[p] = size(G≥τ) = p + |E(G≥τ)| for the prefix [0, p): the
+	// geometry LocalSearch's growth policy runs on, and the edge count
+	// every prefix read is checked against.
+	sizes []int64
 
-	format         int     // FormatV1 or FormatV2
-	blockVerts     int     // v2: vertices per block-index granule
-	blockOff       []int64 // v2: payload byte offset per block, plus total
-	blockEdgeStart []int64 // v2: edge rank at each block boundary, plus m
+	format     int     // FormatV1 or FormatV2
+	blockVerts int     // v2: vertices per block-index granule
+	blockOff   []int64 // v2: payload byte offset per block, plus total
 
 	mapped bool // data came from mmapFile and needs munmap
 }
 
 // OpenView opens path as a View, memory-mapping it when the platform
-// supports it and falling back to ReaderAt access otherwise. Validation is
-// exactly OpenReader's.
+// supports it and falling back to ReaderAt access otherwise.
 func OpenView(path string) (*View, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -100,8 +104,7 @@ func OpenView(path string) (*View, error) {
 	v := &View{f: f, ra: f}
 	// On mmap failure — a platform without the fast path, or an unmappable
 	// file (size overflow, exotic filesystem) — adjacency is served through
-	// positioned reads instead of refusing a file the streaming path could
-	// read.
+	// positioned reads instead of refusing a readable file.
 	if data, merr := mmapFile(f, fi.Size()); merr == nil {
 		v.data = data
 		v.mapped = true
@@ -124,8 +127,10 @@ func ViewFromBytes(data []byte) (*View, error) {
 	return v, nil
 }
 
-// parse validates the header and decodes the per-vertex vectors, mirroring
-// Reader.readHeader: both entry points accept exactly the same files.
+// parse validates the header and decodes the per-vertex vectors: the one
+// header validator every edge-file access goes through. Adjacency entries
+// are checked where they are decoded (decodeAdjRange for v2) and where
+// they are assembled into a graph (graph.FromUpAdjacency for both).
 func (v *View) parse(size int64) error {
 	le := binary.LittleEndian
 	var hdrBuf [20]byte
@@ -194,7 +199,7 @@ func (v *View) parse(size int64) error {
 		}
 	}
 
-	var degSum int64
+	v.sizes = make([]int64, v.n+1)
 	if v.format == FormatV1 {
 		db, err := v.bytes(20+8*int64(v.n), 4*int64(v.n), nil)
 		if err != nil {
@@ -210,7 +215,7 @@ func (v *View) parse(size int64) error {
 			if d < 0 || int64(d) > int64(i) {
 				return fmt.Errorf("semiext: vertex %d claims %d up-neighbors, at most %d possible", i, d, i)
 			}
-			degSum += int64(d)
+			v.sizes[i+1] = v.sizes[i] + 1 + int64(d)
 		}
 	} else {
 		raw, err := v.bytes(32+8*int64(v.n), degBytes, nil)
@@ -226,13 +231,13 @@ func (v *View) parse(size int64) error {
 			}
 			pos += k
 			v.upDeg[i] = int32(d)
-			degSum += int64(d)
+			v.sizes[i+1] = v.sizes[i] + 1 + int64(d)
 		}
 		if int64(pos) != degBytes {
 			return fmt.Errorf("semiext: degree section holds %d bytes, header claims %d", pos, degBytes)
 		}
 	}
-	if degSum != v.m {
+	if degSum := v.edges(v.n); degSum != v.m {
 		return fmt.Errorf("semiext: up-degrees sum to %d edges, header claims %d", degSum, v.m)
 	}
 	if v.format == FormatV2 {
@@ -255,18 +260,6 @@ func (v *View) parse(size int64) error {
 			return fmt.Errorf("semiext: payload of %d bytes cannot hold %d edges", off[nb], v.m)
 		}
 		v.blockOff = off
-		// Edge rank at every block boundary: the parallel decoder uses it to
-		// give each chunk a disjoint slice of the output.
-		es := make([]int64, nb+1)
-		var sum int64
-		for i, d := range v.upDeg {
-			if i%v.blockVerts == 0 {
-				es[i/v.blockVerts] = sum
-			}
-			sum += int64(d)
-		}
-		es[nb] = sum
-		v.blockEdgeStart = es
 	}
 	return nil
 }
@@ -316,18 +309,36 @@ func (v *View) Mapped() bool { return v.data != nil && hostLittleEndian }
 // always decoded into a caller buffer, whatever the byte access path.
 func (v *View) ZeroCopy() bool { return v.Mapped() && v.format == FormatV1 }
 
-// Meta returns the view's validated file state for adoption by Reopen on
-// pooled streaming readers.
-func (v *View) Meta() FileMeta {
-	return FileMeta{
-		Format:     v.format,
-		M:          v.m,
-		Weights:    v.weights,
-		UpDeg:      v.upDeg,
-		PayloadOff: v.headerSize,
-		BlockVerts: v.blockVerts,
-		BlockOff:   v.blockOff,
+// PrefixSize returns size(G≥τ) = p + |E(G≥τ)| for the prefix [0, p),
+// from the resident up-degree vector: no disk access. With PrefixForSize
+// and NumVertices it makes a View a core.PrefixSizer, so the semi-external
+// growth sequence matches the in-memory one round for round.
+func (v *View) PrefixSize(p int) int64 { return v.sizes[p] }
+
+// PrefixForSize mirrors graph.PrefixForSize: the smallest prefix length p
+// with PrefixSize(p) >= want, or NumVertices() if no prefix is that large.
+func (v *View) PrefixForSize(want int64) int {
+	if want <= 0 {
+		return 0
 	}
+	p := sort.Search(v.n, func(p int) bool { return v.sizes[p+1] >= want })
+	if p == v.n {
+		return v.n
+	}
+	return p + 1
+}
+
+// edges returns |E(G≥τ)| for the prefix [0, p).
+func (v *View) edges(p int) int64 { return v.sizes[p] - int64(p) }
+
+// payloadSpan returns the edge-payload bytes AdjPrefix(p) fetches: the
+// 4·|E(G≥τ)| fixed-width entries of a v1 file, or for v2 the compressed
+// bytes through the end of the last block the prefix touches.
+func (v *View) payloadSpan(p int) int64 {
+	if v.format == FormatV1 {
+		return 4 * v.edges(p)
+	}
+	return v.blockOff[(p+v.blockVerts-1)/v.blockVerts]
 }
 
 // Adj returns the up-adjacency entries with edge ranks [lo, hi): the
@@ -385,27 +396,23 @@ const minDecodeChunkEdges = 1 << 15
 // AdjPrefix returns the up-adjacency of the prefix [0, p) in the flat
 // layout FromUpAdjacency consumes — edge ranks [0, e), where e is the edge
 // count of the prefix (the caller's prefix sums already know it; it is
-// re-validated here). For v1 this is Adj(0, e, buf) — zero-copy on mmap
-// builds. For v2 the compressed payload is decoded into buf; with
-// workers > 1 the block offset index splits the decode into disjoint
-// chunks handled concurrently, each chunk writing its own slice of buf, so
-// the result is byte-identical at any worker count.
+// re-validated here against the View's own). For v1 this is Adj(0, e,
+// buf) — zero-copy on mmap builds. For v2 the compressed payload is
+// decoded into buf; with workers > 1 the block offset index splits the
+// decode into disjoint chunks handled concurrently, each chunk writing its
+// own slice of buf, so the result is byte-identical at any worker count.
 func (v *View) AdjPrefix(p int, e int64, workers int, buf []int32) ([]int32, error) {
 	if p < 0 || p > v.n {
 		return nil, fmt.Errorf("semiext: prefix %d outside [0,%d]", p, v.n)
+	}
+	if want := v.edges(p); e != want {
+		return nil, fmt.Errorf("semiext: prefix [0,%d) holds %d edges, caller claims %d", p, want, e)
 	}
 	if v.format == FormatV1 {
 		return v.Adj(0, e, buf)
 	}
 	bv := v.blockVerts
 	nbp := (p + bv - 1) / bv
-	want := v.blockEdgeStart[p/bv]
-	for u := (p / bv) * bv; u < p; u++ {
-		want += int64(v.upDeg[u])
-	}
-	if e != want {
-		return nil, fmt.Errorf("semiext: prefix [0,%d) holds %d edges, caller claims %d", p, want, e)
-	}
 	if int64(cap(buf)) < e {
 		buf = make([]int32, e)
 	}
@@ -433,13 +440,14 @@ func (v *View) AdjPrefix(p int, e int64, workers int, buf []int32) ([]int32, err
 		}
 		return buf, nil
 	}
-	// Chunk boundaries balance edges, not blocks: blockEdgeStart is already
-	// the prefix sum the split needs.
+	// Chunk boundaries balance edges, not blocks: the edge rank at a block
+	// boundary is the prefix edge count there.
+	blockEdge := func(b int) int64 { return v.edges(b * bv) }
 	bounds := make([]int, 0, workers+1)
 	bounds = append(bounds, 0)
 	for c := 1; c < workers; c++ {
 		target := e * int64(c) / int64(workers)
-		b := sort.Search(nbp, func(b int) bool { return v.blockEdgeStart[b] >= target })
+		b := sort.Search(nbp, func(b int) bool { return blockEdge(b) >= target })
 		if b > bounds[len(bounds)-1] && b < nbp {
 			bounds = append(bounds, b)
 		}
@@ -453,9 +461,9 @@ func (v *View) AdjPrefix(p int, e int64, workers int, buf []int32) ([]int32, err
 		if int(u1) > p {
 			u1 = int32(p)
 		}
-		out := buf[v.blockEdgeStart[ba]:e]
+		out := buf[blockEdge(ba):e]
 		if bb < nbp {
-			out = buf[v.blockEdgeStart[ba]:v.blockEdgeStart[bb]]
+			out = buf[blockEdge(ba):blockEdge(bb)]
 		}
 		in := raw[v.blockOff[ba]:v.blockOff[bb]]
 		base := v.blockOff[ba]
@@ -472,6 +480,43 @@ func (v *View) AdjPrefix(p int, e int64, workers int, buf []int32) ([]int32, err
 		}
 	}
 	return buf, nil
+}
+
+// PrefixGraph assembles the in-memory prefix graph [0, p) from the edge
+// file: AdjPrefix at the given decode worker count, then the O(p+E) CSR
+// assembly, which rejects any out-of-range or non-ascending entry. A
+// non-nil buf is a reusable decode buffer, kept grown across calls when
+// the adjacency cannot alias the mapping; a non-nil sc is reusable CSR
+// scratch the graph is built into. The graph's weights and up-degrees
+// alias the View's vectors, so it must not be used after Close.
+func (v *View) PrefixGraph(p, workers int, buf *[]int32, sc *graph.PrefixScratch) (*graph.Graph, error) {
+	var b []int32
+	if buf != nil {
+		b = *buf
+	}
+	adj, err := v.AdjPrefix(p, v.edges(p), workers, b)
+	if err != nil {
+		return nil, err
+	}
+	if buf != nil && !v.ZeroCopy() {
+		*buf = adj
+	}
+	return graph.FromUpAdjacency(v.weights[:p], v.upDeg[:p], adj, sc)
+}
+
+// Graph loads the whole edge file into an in-memory graph that shares no
+// memory with the View, so it stays valid after Close: the whole-file load
+// behind mutable stores, format recoding and OnlineAllSE. workers splits a
+// v2 decode as in AdjPrefix.
+func (v *View) Graph(workers int) (*graph.Graph, error) {
+	adj, err := v.AdjPrefix(v.n, v.m, workers, nil)
+	if err != nil {
+		return nil, err
+	}
+	// The CSR assembly copies the adjacency but keeps the vectors it is
+	// given, and up-degrees may alias the mapping, so both are copied.
+	weights := append([]float64(nil), v.weights...)
+	return graph.FromUpAdjacency(weights, append([]int32(nil), v.upDeg...), adj, nil)
 }
 
 // Close releases the mapping and the file handle. Adj results that alias

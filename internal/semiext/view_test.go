@@ -2,80 +2,12 @@ package semiext
 
 import (
 	"bytes"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"influcomm/internal/gen"
-	"influcomm/internal/graph"
 )
-
-func TestViewMatchesReader(t *testing.T) {
-	for seed := uint64(1); seed <= 5; seed++ {
-		g := gen.Random(80+int(seed)*17, 6, seed)
-		path := writeTemp(t, g)
-		r, err := OpenReader(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v, err := OpenView(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v.NumVertices() != r.NumVertices() || v.NumEdges() != r.NumEdges() {
-			t.Fatalf("seed %d: view shape (%d,%d), reader (%d,%d)",
-				seed, v.NumVertices(), v.NumEdges(), r.NumVertices(), r.NumEdges())
-		}
-		for u := int32(0); int(u) < r.NumVertices(); u++ {
-			if v.Weights()[u] != r.Weight(u) || v.UpDegrees()[u] != r.UpDegree(u) {
-				t.Fatalf("seed %d: per-vertex state differs at %d", seed, u)
-			}
-		}
-		var flat []int32
-		for r.NextVertex() < r.NumVertices() {
-			flat, err = r.ReadVertexAdj(flat)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		got, err := v.Adj(0, v.NumEdges(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(flat) {
-			t.Fatalf("seed %d: view adjacency holds %d entries, stream %d", seed, len(got), len(flat))
-		}
-		for i := range got {
-			if got[i] != flat[i] {
-				t.Fatalf("seed %d: adjacency differs at entry %d", seed, i)
-			}
-		}
-		// Sub-range reads agree with the full read.
-		if v.NumEdges() >= 4 {
-			lo, hi := v.NumEdges()/4, 3*v.NumEdges()/4
-			sub, err := v.Adj(lo, hi, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range sub {
-				if sub[i] != flat[lo+int64(i)] {
-					t.Fatalf("seed %d: sub-range read differs at %d", seed, i)
-				}
-			}
-		}
-		// The full adjacency plus the decoded vectors reconstructs the graph.
-		pg, err := graph.FromUpAdjacency(v.Weights(), v.UpDegrees(), got, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := pg.Validate(); err != nil {
-			t.Fatalf("seed %d: reconstructed graph invalid: %v", seed, err)
-		}
-		r.Close()
-		v.Close()
-	}
-}
 
 func TestViewAdjBounds(t *testing.T) {
 	g := gen.Random(40, 4, 3)
@@ -93,10 +25,31 @@ func TestViewAdjBounds(t *testing.T) {
 	if err != nil || len(empty) != 0 {
 		t.Errorf("Adj(2,2) = %v, %v; want empty", empty, err)
 	}
+
+	// AdjPrefix re-validates the caller's edge count on both layouts: a
+	// count that is not the prefix's own must be rejected, not trusted.
+	g = gen.Random(200, 6, 3)
+	for _, format := range []int{FormatV1, FormatV2} {
+		v, err := OpenView(writeTempFormat(t, g, format))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := g.PrefixEdges(100)
+		for _, bad := range []int64{e - 1, e + 3, -1} {
+			if adj, err := v.AdjPrefix(100, bad, 1, nil); err == nil {
+				t.Errorf("v%d AdjPrefix(100, %d): %d entries and no error; the prefix holds %d", format, bad, len(adj), e)
+			}
+		}
+		if _, err := v.AdjPrefix(v.NumVertices()+1, 0, 1, nil); err == nil {
+			t.Errorf("v%d AdjPrefix past the last vertex: want error", format)
+		}
+		v.Close()
+	}
 }
 
-// TestViewRejectsWhatReaderRejects replays the reader's corruption cases
-// against the view: the two open paths must accept exactly the same files.
+// TestViewRejectsWhatReaderRejects replays header corruptions against both
+// View entry points: an in-memory image and an opened file must be
+// rejected alike.
 func TestViewRejectsWhatReaderRejects(t *testing.T) {
 	g := gen.Random(50, 5, 4)
 	path := writeTemp(t, g)
@@ -121,8 +74,12 @@ func TestViewRejectsWhatReaderRejects(t *testing.T) {
 		if _, err := ViewFromBytes(img); err == nil {
 			t.Errorf("%s: view accepted", name)
 		}
-		if _, err := NewReader(bytes.NewReader(img), int64(len(img))); err == nil {
-			t.Errorf("%s: reader accepted", name)
+		bad := filepath.Join(t.TempDir(), "bad.edges")
+		if err := os.WriteFile(bad, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenView(bad); err == nil {
+			t.Errorf("%s: OpenView accepted", name)
 		}
 	}
 	truncated := data[:len(data)-5]
@@ -151,101 +108,103 @@ func TestDecodeInt32s(t *testing.T) {
 	DecodeInt32s(nil, nil) // zero-length is a no-op
 }
 
-// FuzzViewReaderEquivalence is the mmap-view half of FuzzEdgeFile: for
-// arbitrary bytes, ViewFromBytes and NewReader must agree on acceptance,
-// and when both accept, the view's bulk adjacency must be byte-identical
-// to the stream's edge-by-edge delivery — for both file formats, at any
-// decode worker count.
-func FuzzViewReaderEquivalence(f *testing.F) {
-	seedDir := f.TempDir()
-	for seed := uint64(1); seed <= 3; seed++ {
-		g := gen.Random(20+int(seed)*9, 4, seed)
-		for _, format := range []int{FormatV1, FormatV2} {
-			path := filepath.Join(seedDir, "seed.edges")
-			if err := WriteEdgeFileFormat(path, g, format); err != nil {
-				f.Fatal(err)
-			}
-			data, err := os.ReadFile(path)
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(data)
-			f.Add(data[:20])
-			f.Add(data[:len(data)-2])
-		}
+// memFile serves an in-memory image through positioned reads the way an
+// *os.File does: unlike a bare bytes.Reader it answers a zero-length read
+// at the end of the image with success.
+type memFile struct{ *bytes.Reader }
+
+func (m memFile) ReadAt(p []byte, off int64) (int, error) {
+	if len(p) == 0 {
+		return 0, nil
 	}
+	return m.Reader.ReadAt(p, off)
+}
+
+// readerAtView is a View over an edge-file image served the way OpenView
+// serves a file it cannot map: every region fetched by positioned reads,
+// nothing aliased.
+func readerAtView(data []byte) (*View, error) {
+	v := &View{ra: memFile{bytes.NewReader(data)}}
+	if err := v.parse(int64(len(data))); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// FuzzViewReaderEquivalence holds the View's two access paths to each
+// other: for arbitrary bytes, a View over the image in memory (the path
+// mmap builds serve from) and a View reading the same image through
+// positioned ReaderAt reads (the fallback OpenView takes when a file
+// cannot be mapped) must agree on acceptance, and when both accept, on
+// format, shape, per-vertex state, prefix sizes and adjacency — whole and
+// half-prefix decodes at any worker count, and v1 sub-range reads.
+func FuzzViewReaderEquivalence(f *testing.F) {
+	addEdgeFileSeeds(f, func(seed uint64) int { return 20 + int(seed)*9 }, 2)
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, verr := ViewFromBytes(data)
-		r, rerr := NewReader(bytes.NewReader(data), int64(len(data)))
+		r, rerr := readerAtView(data)
 		if (verr == nil) != (rerr == nil) {
-			t.Fatalf("acceptance differs: view err %v, reader err %v", verr, rerr)
+			t.Fatalf("acceptance differs: in-memory err %v, ReaderAt err %v", verr, rerr)
 		}
 		if verr != nil {
 			return
 		}
+		if r.Mapped() {
+			t.Fatal("ReaderAt view reports a mapping")
+		}
 		if v.Format() != r.Format() {
-			t.Fatalf("format differs: view %d, reader %d", v.Format(), r.Format())
+			t.Fatalf("format differs: in-memory %d, ReaderAt %d", v.Format(), r.Format())
 		}
-		if v.NumVertices() != r.NumVertices() || v.NumEdges() != r.NumEdges() {
-			t.Fatalf("shape differs: view (%d,%d), reader (%d,%d)",
-				v.NumVertices(), v.NumEdges(), r.NumVertices(), r.NumEdges())
+		n, m := v.NumVertices(), v.NumEdges()
+		if r.NumVertices() != n || r.NumEdges() != m {
+			t.Fatalf("shape differs: in-memory (%d,%d), ReaderAt (%d,%d)", n, m, r.NumVertices(), r.NumEdges())
 		}
-		for u := 0; u < v.NumVertices(); u++ {
-			if v.Weights()[u] != r.Weight(int32(u)) || v.UpDegrees()[u] != r.UpDegree(int32(u)) {
+		for u := 0; u < n; u++ {
+			if v.Weights()[u] != r.Weights()[u] || v.UpDegrees()[u] != r.UpDegrees()[u] {
 				t.Fatalf("per-vertex state differs at %d", u)
 			}
 		}
-		var flat []int32
-		var err error
-		for {
-			flat, err = r.ReadVertexAdj(flat)
-			if err != nil {
-				break
+		for p := 0; p <= n; p++ {
+			if v.PrefixSize(p) != r.PrefixSize(p) {
+				t.Fatalf("prefix size differs at %d: in-memory %d, ReaderAt %d", p, v.PrefixSize(p), r.PrefixSize(p))
 			}
 		}
-		view, aerr := v.AdjPrefix(v.NumVertices(), v.NumEdges(), 1, nil)
-		par, perr := v.AdjPrefix(v.NumVertices(), v.NumEdges(), 4, nil)
-		if (aerr == nil) != (perr == nil) {
-			t.Fatalf("decode worker count changes acceptance: 1 worker err %v, 4 workers err %v", aerr, perr)
-		}
-		if aerr == nil {
-			for i := range view {
-				if par[i] != view[i] {
-					t.Fatalf("decode differs between worker counts at entry %d", i)
+		for _, p := range []int{n / 2, n} {
+			for _, workers := range []int{1, 4} {
+				want, werr := v.AdjPrefix(p, v.edges(p), workers, nil)
+				got, gerr := r.AdjPrefix(p, r.edges(p), workers, nil)
+				if (werr == nil) != (gerr == nil) {
+					t.Fatalf("prefix %d, %d workers: payload acceptance differs: in-memory err %v, ReaderAt err %v",
+						p, workers, werr, gerr)
+				}
+				if werr != nil {
+					if v.Format() == FormatV1 {
+						t.Fatalf("v1 adjacency read failed on an accepted image: %v", werr)
+					}
+					continue // corrupt v2 payload, rejected by both
+				}
+				if len(got) != len(want) {
+					t.Fatalf("prefix %d: in-memory decode holds %d entries, ReaderAt %d", p, len(want), len(got))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("prefix %d, %d workers: adjacency differs at entry %d", p, workers, i)
+					}
 				}
 			}
 		}
 		if v.Format() == FormatV1 {
-			if aerr != nil {
-				t.Fatalf("view adjacency read failed on accepted v1 image: %v", aerr)
+			lo, hi := m/4, 3*m/4
+			want, werr := v.Adj(lo, hi, nil)
+			got, gerr := r.Adj(lo, hi, nil)
+			if werr != nil || gerr != nil {
+				t.Fatalf("v1 sub-range [%d,%d) read failed: in-memory err %v, ReaderAt err %v", lo, hi, werr, gerr)
 			}
-			// The stream validates entries (v < u) the raw v1 view does not; it
-			// may stop early on a corrupt payload. The entries it did deliver
-			// must still match the view byte for byte.
-			for i := range flat {
-				if flat[i] != view[i] {
-					t.Fatalf("adjacency differs at entry %d: stream %d, view %d", i, flat[i], view[i])
-				}
-			}
-			if err == io.EOF && int64(len(flat)) != v.NumEdges() {
-				t.Fatalf("stream delivered %d entries, header claims %d", len(flat), v.NumEdges())
-			}
-			return
-		}
-		// v2: both paths validate the full payload, so a completed stream and
-		// a successful bulk decode must coincide — and agree entry for entry.
-		if (err == io.EOF) != (aerr == nil) {
-			t.Fatalf("v2 payload acceptance differs: stream err %v, bulk decode err %v", err, aerr)
-		}
-		if aerr == nil {
-			if int64(len(flat)) != v.NumEdges() {
-				t.Fatalf("stream delivered %d entries, header claims %d", len(flat), v.NumEdges())
-			}
-			for i := range flat {
-				if flat[i] != view[i] {
-					t.Fatalf("adjacency differs at entry %d: stream %d, view %d", i, flat[i], view[i])
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("sub-range [%d,%d) differs at entry %d", lo, hi, i)
 				}
 			}
 		}

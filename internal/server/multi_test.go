@@ -616,13 +616,29 @@ func TestAdminLoadPrefixCache(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad mode: status %d, want 400", resp.StatusCode)
 	}
+
+	// A misspelt option is a 400 too, not a dataset loaded with defaults.
+	resp, err = http.Post(ts.URL+"/v1/admin/datasets", "application/json",
+		bytes.NewBufferString(fmt.Sprintf(`{"name":"typo","path":%q,"backend":"semiext","prefix_cache":1024}`, edgePath)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("misspelt field: status %d, want 400", resp.StatusCode)
+	}
+	for _, d := range s.Datasets() {
+		if d.Name == "typo" {
+			t.Fatal("a load with a misspelt field registered the dataset")
+		}
+	}
 }
 
 // TestAdminLoadParallelCompressed loads a compressed (v2) edge file with
-// intra-query parallelism through the admin endpoint: the dataset must
-// report its format and worker count, and answer byte-identically to the
-// in-memory default — the parallel path is an implementation detail, not a
-// semantics change.
+// split decodes through the admin endpoint: the dataset must report its
+// format and worker count, and answer byte-identically to the in-memory
+// default — the decode split is an implementation detail, not a semantics
+// change.
 func TestAdminLoadParallelCompressed(t *testing.T) {
 	g := rankGraph(t)
 	edgePath := filepath.Join(t.TempDir(), "g.edges")

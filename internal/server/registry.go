@@ -200,14 +200,14 @@ func (d *dataset) markUnloaded() {
 type DatasetInfo struct {
 	Name    string `json:"name"`
 	Backend string `json:"backend"`
-	// Mode reports the semi-external access path ("mmap", "pread", or
-	// "stream"); empty for in-memory backends.
+	// Mode reports the semi-external access path ("mmap" or "pread");
+	// empty for in-memory backends.
 	Mode string `json:"mode,omitempty"`
 	// Format reports the semi-external edge-file layout ("v1" flat, "v2"
 	// delta+varint compressed); empty for in-memory backends.
 	Format string `json:"format,omitempty"`
-	// Workers is the per-query parallelism the dataset was loaded with;
-	// 0 or 1 means sequential serving.
+	// Workers is the v2 decode split the dataset was loaded with; 0 or 1
+	// means sequential decodes.
 	Workers int `json:"workers,omitempty"`
 	// CachedPrefix is the vertex count the semi-external decoded-prefix
 	// cache currently covers; 0 when disabled or for in-memory backends.
@@ -496,14 +496,10 @@ type loadRequest struct {
 	// PrefixCacheBytes budgets the semi-external decoded-prefix cache
 	// (see store.WithPrefixCacheBytes); 0 disables it.
 	PrefixCacheBytes int64 `json:"prefix_cache_bytes,omitempty"`
-	// Mode selects the semi-external access path: "auto" (default),
-	// "mmap", or "stream".
-	Mode string `json:"mode,omitempty"`
-	// Workers enables intra-query parallelism on the semi-external backend:
-	// each query's candidate prefixes decode and evaluate on up to this many
-	// goroutines (see store.WithWorkers). On the mutable backend it instead
-	// bounds the index-maintenance build/repair parallelism (0 =
-	// GOMAXPROCS). 0 or 1 serves sequentially.
+	// Workers splits the semi-external backend's v2 prefix decodes across
+	// up to this many goroutines (see store.WithWorkers). On the mutable
+	// backend it instead bounds the index-maintenance build/repair
+	// parallelism (0 = GOMAXPROCS). 0 or 1 decodes sequentially.
 	Workers int `json:"workers,omitempty"`
 	// Reindex selects index maintenance for mutable datasets: "auto"
 	// keeps the index current across updates, "off" drops it on the first
@@ -537,7 +533,11 @@ func (s *Server) handleLoadDataset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req loadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	// Unknown fields are refused, not ignored: a misspelt option would
+	// otherwise load the dataset with defaults and still answer 201.
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
 		return
 	}
@@ -548,9 +548,6 @@ func (s *Server) handleLoadDataset(w http.ResponseWriter, r *http.Request) {
 	var opts []store.OpenOption
 	if req.PrefixCacheBytes != 0 {
 		opts = append(opts, store.WithPrefixCacheBytes(req.PrefixCacheBytes))
-	}
-	if req.Mode != "" {
-		opts = append(opts, store.WithEdgeFileMode(req.Mode))
 	}
 	if req.Workers != 0 {
 		opts = append(opts, store.WithWorkers(req.Workers))

@@ -328,7 +328,7 @@ func TestMutableDurabilityThroughServer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen the edge file: the WAL replays the two deletions.
+	// Open the edge file again: the WAL replays the two deletions.
 	re, err := store.OpenMutable(path)
 	if err != nil {
 		t.Fatal(err)

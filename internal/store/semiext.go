@@ -19,11 +19,12 @@ import (
 //
 // The read path is built around zero-copy access and cross-query sharing:
 //
-//   - By default the edge file is served through a semiext.View — one
-//     memory mapping (with a positioned-read fallback on platforms without
-//     it) opened at store creation, so a query pays no os.Open, no header
-//     re-parse, and no per-edge decode loop; whole adjacency runs are
-//     handed to the O(p+E) CSR assembler as typed slices over the mapping.
+//   - The edge file is served through a semiext.View — one memory mapping
+//     (with a positioned-read fallback on platforms or files the mapping
+//     cannot cover) opened at store creation, so a query pays no os.Open,
+//     no header re-parse, and no per-edge decode loop; whole adjacency runs
+//     are handed to the O(p+E) CSR assembler as typed slices over the
+//     mapping.
 //
 //   - LocalSearch's geometric growth means virtually every query touches
 //     the heavy prefix [0, p), so the store can keep one immutable decoded
@@ -32,35 +33,20 @@ import (
 //     queries read lock-free, each through pooled engines bound to it.
 //     Queries whose growth stays inside the cache are allocation-free in
 //     steady state apart from their Result; queries that outgrow it fall
-//     back to materializing a private prefix from the view (or, in stream
-//     mode, from a pooled sequential reader).
+//     back to materializing a private prefix from the view.
 //
 // Results and access statistics are byte-identical to the in-memory
 // backend for the same graph, whichever path serves the query.
 type SemiExt struct {
-	path    string
-	mode    string // "mmap", "pread", or "stream"
-	n       int
-	m       int64
-	weights []float64
-	upDeg   []int32
-	// sizes[p] = size(G≥τ) = p + |E(G≥τ)| for the prefix [0, p); the
-	// growth policy runs entirely on this vector, no disk involved.
-	sizes []int64
+	path string
+	mode string // "mmap" or "pread"
 
-	// format is the edge-file format version (semiext.FormatV1 or V2) and
-	// meta the validated open state pooled stream readers adopt.
-	format int
-	meta   semiext.FileMeta
-
-	// workers bounds intra-query parallelism: queries large enough to leave
-	// the zero-overhead path evaluate their γ-round decompositions on up to
-	// this many goroutines, and v2 bulk decodes split the same way. 0 or 1
-	// serves strictly sequentially.
+	// workers splits v2 bulk prefix decodes across up to this many
+	// goroutines; 0 or 1 decodes sequentially.
 	workers int
 
-	// view is the shared zero-copy window over the edge file; nil in
-	// stream mode, where every access goes through a pooled Reader.
+	// view is the shared zero-copy window over the edge file; it also
+	// holds the resident per-vertex state the growth policy runs on.
 	view *semiext.View
 
 	// cacheBudget caps the decoded-prefix cache's extra resident bytes;
@@ -99,7 +85,6 @@ type OpenOption func(*openConfig)
 
 type openConfig struct {
 	prefixCacheBytes int64
-	mode             string
 	workers          int
 }
 
@@ -114,23 +99,12 @@ func WithPrefixCacheBytes(n int64) OpenOption {
 	return func(c *openConfig) { c.prefixCacheBytes = n }
 }
 
-// WithEdgeFileMode selects how the semi-external backend reads its edge
-// file: "auto" (the default) serves adjacency through a shared zero-copy
-// view, falling back to positioned reads on platforms or files the
-// mapping cannot cover; "mmap" is the same view but refuses to open when
-// the mapping is unavailable (an explicit request is a promise, not a
-// hint); "stream" forces the per-query sequential reader (the residual
-// path kept for fallback and comparison). Ignored by the memory backend.
-func WithEdgeFileMode(mode string) OpenOption {
-	return func(c *openConfig) { c.mode = mode }
-}
-
-// WithWorkers bounds intra-query parallelism for the semi-external backend:
-// queries whose work size leaves the zero-overhead sequential path evaluate
-// their independent γ-round decompositions on up to n goroutines, and bulk
-// prefix decodes of compressed (v2) edge files split across the same
-// worker count. Results are byte-identical at any setting. 0 or 1 (the
-// default) serves strictly sequentially. Ignored by the memory backend.
+// WithWorkers splits the semi-external backend's bulk prefix decodes of
+// compressed (v2) edge files across up to n goroutines. Results are
+// byte-identical at any setting. 0 or 1 (the default) decodes
+// sequentially: on two cores a split halves a whole-file decode but leaves
+// serving latency unchanged (docs/OPERATIONS.md). Ignored by the memory
+// backend.
 func WithWorkers(n int) OpenOption {
 	return func(c *openConfig) { c.workers = n }
 }
@@ -139,7 +113,7 @@ func WithWorkers(n int) OpenOption {
 // semiext.WriteEdgeFile (format v1 or v2, detected from the header) and
 // loads its per-vertex state.
 func OpenEdgeFile(path string, opts ...OpenOption) (*SemiExt, error) {
-	cfg := openConfig{mode: "auto"}
+	var cfg openConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -149,56 +123,19 @@ func OpenEdgeFile(path string, opts ...OpenOption) (*SemiExt, error) {
 	if cfg.workers < 0 {
 		return nil, fmt.Errorf("store: negative worker count %d", cfg.workers)
 	}
-	s := &SemiExt{path: path, cacheBudget: cfg.prefixCacheBytes, workers: cfg.workers}
-	switch cfg.mode {
-	case "auto", "mmap":
-		v, err := semiext.OpenView(path)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.mode == "mmap" && !v.Mapped() {
-			// An explicit mmap request is a promise about the access path,
-			// not a hint: refuse rather than silently serve positioned
-			// reads at different performance. "auto" is the degrading mode.
-			v.Close()
-			return nil, fmt.Errorf("store: %s: mmap requested but unavailable on this platform/file (use mode=auto to allow pread fallback)", path)
-		}
-		s.view = v
-		s.n = v.NumVertices()
-		s.m = v.NumEdges()
-		s.weights = v.Weights()
-		s.upDeg = v.UpDegrees()
-		s.format = v.Format()
-		s.meta = v.Meta()
-		if v.Mapped() {
-			s.mode = "mmap"
-		} else {
-			s.mode = "pread"
-		}
-	case "stream":
-		r, err := semiext.OpenReader(path)
-		if err != nil {
-			return nil, err
-		}
-		defer r.Close()
-		s.n = r.NumVertices()
-		s.m = r.NumEdges()
-		s.format = r.Format()
-		s.meta = r.Meta()
-		s.weights = s.meta.Weights
-		s.upDeg = s.meta.UpDeg
-		s.mode = "stream"
-	default:
-		return nil, fmt.Errorf("store: unknown edge-file mode %q (want \"auto\", \"mmap\", or \"stream\")", cfg.mode)
+	v, err := semiext.OpenView(path)
+	if err != nil {
+		return nil, err
 	}
-	s.sizes = make([]int64, s.n+1)
-	for u := 0; u < s.n; u++ {
-		s.sizes[u+1] = s.sizes[u] + 1 + int64(s.upDeg[u])
+	s := &SemiExt{path: path, mode: "pread", workers: cfg.workers, view: v, cacheBudget: cfg.prefixCacheBytes}
+	if v.Mapped() {
+		s.mode = "mmap"
 	}
 	if s.cacheBudget > 0 {
 		// Largest prefix whose decoded CSR fits the budget; estCacheBytes
 		// is monotone in p, so the frontier is a binary search.
-		s.maxCacheP = sort.Search(s.n, func(p int) bool { return s.estCacheBytes(p+1) > s.cacheBudget })
+		n := v.NumVertices()
+		s.maxCacheP = sort.Search(n, func(p int) bool { return s.estCacheBytes(p+1) > s.cacheBudget })
 	}
 	s.growSem = make(chan struct{}, 1)
 	s.srcPool.New = func() any { return &seSource{st: s} }
@@ -211,48 +148,29 @@ func OpenEdgeFile(path string, opts ...OpenOption) (*SemiExt, error) {
 // and cost nothing extra; pooled engines (O(p) each, bounded by query
 // concurrency) are deliberately not charged to the budget.
 func (s *SemiExt) estCacheBytes(p int) int64 {
-	return 16*int64(p+1) + 8*s.edgeCount(p)
-}
-
-// edgeCount returns |E(G≥τ)| for the prefix [0, p).
-func (s *SemiExt) edgeCount(p int) int64 { return s.sizes[p] - int64(p) }
-
-// prefixForSize mirrors graph.PrefixForSize on the resident size vector, so
-// the semi-external growth sequence matches the in-memory one round for
-// round.
-func (s *SemiExt) prefixForSize(want int64) int {
-	if want <= 0 {
-		return 0
-	}
-	p := sort.Search(s.n, func(p int) bool { return s.sizes[p+1] >= want })
-	if p == s.n {
-		return s.n
-	}
-	return p + 1
+	return 16*int64(p+1) + 8*(s.view.PrefixSize(p)-int64(p))
 }
 
 // Backend returns "semiext".
 func (s *SemiExt) Backend() string { return "semiext" }
 
-// Mode reports how the edge file is accessed: "mmap" (zero-copy mapping),
-// "pread" (positioned reads on platforms without the mapping fast path),
-// or "stream" (per-query sequential reader).
+// Mode reports how the edge file is accessed: "mmap" (zero-copy mapping)
+// or "pread" (positioned reads on platforms or files without the mapping).
 func (s *SemiExt) Mode() string { return s.mode }
 
 // Format returns the edge-file format version the store serves:
 // semiext.FormatV1 (fixed-width adjacency) or semiext.FormatV2 (delta-gap
 // varint compressed adjacency).
-func (s *SemiExt) Format() int { return s.format }
+func (s *SemiExt) Format() int { return s.view.Format() }
 
-// Workers returns the intra-query parallelism bound (0 or 1 means strictly
-// sequential serving).
+// Workers returns the v2 decode split (0 or 1 means sequential decodes).
 func (s *SemiExt) Workers() int { return s.workers }
 
 // NumVertices returns the vertex count.
-func (s *SemiExt) NumVertices() int { return s.n }
+func (s *SemiExt) NumVertices() int { return s.view.NumVertices() }
 
 // NumEdges returns the edge count.
-func (s *SemiExt) NumEdges() int64 { return s.m }
+func (s *SemiExt) NumEdges() int64 { return s.view.NumEdges() }
 
 // Path returns the edge file the store reads from.
 func (s *SemiExt) Path() string { return s.path }
@@ -286,9 +204,6 @@ func (s *SemiExt) TopK(ctx context.Context, k int, gamma int32, opts core.Option
 	src := s.srcPool.Get().(*seSource)
 	src.ctx = ctx
 	defer s.putSource(src)
-	if s.workers > 1 {
-		return core.TopKOverParallel(ctx, src, k, gamma, opts, s.workers)
-	}
 	return core.TopKOver(ctx, src, k, gamma, opts)
 }
 
@@ -302,15 +217,9 @@ const maxPooledScratchBytes = 32 << 20
 
 func (s *SemiExt) putSource(q *seSource) {
 	q.ctx = nil
-	q.adj = q.adj[:0]
-	if q.streamOpen {
-		q.r.Close()
-		q.streamOpen = false
-	}
 	if q.scratchBytes() > maxPooledScratchBytes {
 		q.csr = graph.PrefixScratch{}
 		q.adjBuf = nil
-		q.adj = nil
 	}
 	s.srcPool.Put(q)
 }
@@ -333,9 +242,7 @@ func (s *SemiExt) Close() error {
 }
 
 func (s *SemiExt) closeResources() {
-	if s.view != nil {
-		s.view.Close()
-	}
+	s.view.Close()
 }
 
 // growCache extends the decoded-prefix cache to cover at least p and
@@ -343,9 +250,8 @@ func (s *SemiExt) closeResources() {
 // budget. One grower builds at a time; racers re-check once admitted and
 // adopt the freshly swapped cache instead of rebuilding, and a waiter
 // whose context expires abandons the wait with ctx.Err(). The build
-// itself polls ctx on the streaming path; the view path's single bulk
-// decode+assembly runs at memory speed and is the one uninterruptible
-// unit.
+// itself — one bulk decode+assembly at memory speed — is the one
+// uninterruptible unit.
 func (s *SemiExt) growCache(ctx context.Context, p int) (*graph.Graph, error) {
 	if p > s.maxCacheP {
 		return nil, nil
@@ -365,14 +271,14 @@ func (s *SemiExt) growCache(ctx context.Context, p int) (*graph.Graph, error) {
 	// Overshoot geometrically (cover 2× the requested size, clamped to the
 	// budget) so consecutive query rounds don't each trigger a rebuild;
 	// total rebuild work stays linear in the final cached size.
-	target := s.prefixForSize(2 * s.sizes[p])
+	target := s.view.PrefixForSize(2 * s.view.PrefixSize(p))
 	if target > s.maxCacheP {
 		target = s.maxCacheP
 	}
 	if target < p {
 		target = p
 	}
-	g, err := s.materialize(ctx, target, nil, nil)
+	g, err := s.view.PrefixGraph(target, s.workers, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -380,72 +286,9 @@ func (s *SemiExt) growCache(ctx context.Context, p int) (*graph.Graph, error) {
 	return g, nil
 }
 
-// materialize assembles the prefix graph [0, p) from the edge file, using
-// the zero-copy view when the store has one and a sequential stream
-// otherwise. A nil scratch builds into fresh arrays (cache growth); the
-// per-query sources pass their pooled scratch. The streaming path polls
-// ctx every few thousand adjacency lists.
-func (s *SemiExt) materialize(ctx context.Context, p int, sc *graph.PrefixScratch, q *seSource) (*graph.Graph, error) {
-	e := s.edgeCount(p)
-	if s.view != nil {
-		var buf []int32
-		if q != nil {
-			buf = q.adjBuf
-		}
-		upAdj, err := s.view.AdjPrefix(p, e, s.workers, buf)
-		if err != nil {
-			return nil, err
-		}
-		if q != nil && !s.view.ZeroCopy() {
-			q.adjBuf = upAdj // keep the grown decode buffer for reuse
-		}
-		return graph.FromUpAdjacency(s.weights[:p], s.upDeg[:p], upAdj, sc)
-	}
-	// Stream mode: a pooled reader streams strictly sequentially from the
-	// start of the payload up to p, accumulating the flat up-adjacency.
-	var (
-		adj []int32
-		r   *semiext.Reader
-	)
-	if q != nil {
-		if q.r == nil {
-			q.r = new(semiext.Reader)
-		}
-		if !q.streamOpen {
-			if err := q.r.Reopen(s.path, s.meta); err != nil {
-				return nil, err
-			}
-			q.streamOpen = true
-		}
-		r, adj = q.r, q.adj
-	} else {
-		r = new(semiext.Reader)
-		if err := r.Reopen(s.path, s.meta); err != nil {
-			return nil, err
-		}
-		defer r.Close()
-		adj = make([]int32, 0, e)
-	}
-	var err error
-	for budget := 0; r.NextVertex() < p; budget++ {
-		if budget%ctxCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if adj, err = r.ReadVertexAdj(adj); err != nil {
-			return nil, err
-		}
-	}
-	if q != nil {
-		q.adj = adj
-	}
-	return graph.FromUpAdjacency(s.weights[:p], s.upDeg[:p], adj, sc)
-}
-
 // seSource adapts the store to core.SearchSource for one query. It is
-// pooled: the CSR scratch, decode buffer, accumulated adjacency, and
-// stream reader are reused by later queries once the query returns.
+// pooled: the CSR scratch and decode buffer are reused by later queries
+// once the query returns.
 type seSource struct {
 	st  *SemiExt
 	ctx context.Context
@@ -456,28 +299,18 @@ type seSource struct {
 	// graph is still referenced.
 	csr    graph.PrefixScratch
 	adjBuf []int32 // bulk-decode target when the view cannot alias the mapping
-
-	// Stream-mode state: reader opened lazily on the first private build,
-	// flat adjacency accumulated across this query's rounds.
-	r          *semiext.Reader
-	adj        []int32
-	streamOpen bool
 }
 
 // scratchBytes is the memory the source would keep alive while pooled.
 func (q *seSource) scratchBytes() int64 {
-	return q.csr.Bytes() + 4*int64(cap(q.adjBuf)+cap(q.adj))
+	return q.csr.Bytes() + 4*int64(cap(q.adjBuf))
 }
 
-func (q *seSource) NumVertices() int { return q.st.n }
+func (q *seSource) NumVertices() int { return q.st.view.NumVertices() }
 
-func (q *seSource) PrefixSize(p int) int64 { return q.st.sizes[p] }
+func (q *seSource) PrefixSize(p int) int64 { return q.st.view.PrefixSize(p) }
 
-func (q *seSource) PrefixForSize(want int64) int { return q.st.prefixForSize(want) }
-
-// ctxCheckEvery bounds how many adjacency lists are streamed between two
-// context polls while materializing a prefix.
-const ctxCheckEvery = 4096
+func (q *seSource) PrefixForSize(want int64) int { return q.st.view.PrefixForSize(want) }
 
 // Materialize returns an in-memory graph covering at least the prefix
 // [0, p): the shared cache when p fits (growing it if the budget allows),
@@ -492,7 +325,7 @@ func (q *seSource) Materialize(p int) (*graph.Graph, error) {
 	if err := q.ctx.Err(); err != nil {
 		return nil, err
 	}
-	return q.st.materialize(q.ctx, p, &q.csr, q)
+	return q.st.view.PrefixGraph(p, q.st.workers, &q.adjBuf, &q.csr)
 }
 
 // SourcePool hands TopKOver the engine pool bound to the shared cache
@@ -503,16 +336,4 @@ func (q *seSource) SourcePool(g *graph.Graph) *core.Pool {
 		return c.pool
 	}
 	return nil
-}
-
-// Fork hands the parallel driver an independent source over the same store
-// for one speculative round: private builds go into the fork's own pooled
-// scratch, so concurrent rounds never share mutable state, while the
-// decoded-prefix cache and its engine pool stay shared (both are safe for
-// concurrent readers). The release callback returns the fork's scratch to
-// the pool; the driver invokes it only once the round's graph is dead.
-func (q *seSource) Fork(ctx context.Context) (core.SearchSource, func()) {
-	f := q.st.srcPool.Get().(*seSource)
-	f.ctx = ctx
-	return f, func() { q.st.putSource(f) }
 }

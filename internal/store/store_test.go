@@ -38,27 +38,18 @@ func renderResult(res *core.Result) string {
 }
 
 // semiExtVariants is every semi-external serving configuration the
-// equivalence tests must hold for: the residual streaming path, the
-// zero-copy view without caching, and decoded-prefix caches from "too
-// small to matter" through "covers the whole graph". The strict "mmap"
-// mode refuses to open on platforms without the mapping, so it joins the
-// matrix only where it can (the "auto" default still exercises the view
-// everywhere, via pread on such platforms).
+// equivalence tests must hold for: the zero-copy view without caching,
+// and decoded-prefix caches from "too small to matter" through "covers
+// the whole graph".
 func semiExtVariants() map[string][]OpenOption {
-	v := map[string][]OpenOption{
-		"stream":      {WithEdgeFileMode("stream")},
+	return map[string][]OpenOption{
 		"auto":        nil,
 		"cache-tiny":  {WithPrefixCacheBytes(1 << 10)},
 		"cache-huge":  {WithPrefixCacheBytes(1 << 30)},
-		"cache-strm":  {WithEdgeFileMode("stream"), WithPrefixCacheBytes(1 << 20)},
 		"cache-small": {WithPrefixCacheBytes(16 << 10)},
 		"workers":     {WithWorkers(4)},
-		"workers-all": {WithWorkers(4), WithPrefixCacheBytes(1 << 30), WithEdgeFileMode("stream")},
+		"workers-all": {WithWorkers(4), WithPrefixCacheBytes(1 << 30)},
 	}
-	if semiext.MmapAvailable {
-		v["mmap"] = []OpenOption{WithEdgeFileMode("mmap")}
-	}
-	return v
 }
 
 // TestBackendsAgree is the core contract: for the same graph, every
@@ -136,17 +127,14 @@ func TestBackendsAgree(t *testing.T) {
 }
 
 // TestParallelServeAgrees is the large-graph half of the backend contract:
-// on a graph big enough to engage the speculative parallel driver and the
-// chunked v2 decode, every (format, workers, mode) combination must still
-// be byte-identical to the in-memory backend. Run under -race -cpu 1,4,8
-// this is the end-to-end determinism proof for intra-query parallelism.
+// on a graph big enough to engage the chunked v2 decode, every (format,
+// workers, cache) combination must still be byte-identical to the
+// in-memory backend. Run under -race -cpu 1,4,8 this is the end-to-end
+// determinism proof for the decode split.
 func TestParallelServeAgrees(t *testing.T) {
 	g, err := gen.PlantedCommunities(40, 120, 0.4, 2, 19)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if g.PrefixSize(g.NumVertices()) < core.ParallelMinRoundWork {
-		t.Fatal("test graph too small to engage the parallel driver")
 	}
 	mem, err := OpenMem(g)
 	if err != nil {
@@ -172,7 +160,6 @@ func TestParallelServeAgrees(t *testing.T) {
 			"workers2":       {WithWorkers(2)},
 			"workers8":       {WithWorkers(8)},
 			"workers8-cache": {WithWorkers(8), WithPrefixCacheBytes(1 << 30)},
-			"workers8-strm":  {WithWorkers(8), WithEdgeFileMode("stream")},
 		}
 		for name, opts := range variants {
 			se, err := OpenEdgeFile(path, opts...)
@@ -264,9 +251,6 @@ func TestPrefixCacheBudget(t *testing.T) {
 
 	if _, err := OpenEdgeFile(path, WithPrefixCacheBytes(-1)); err == nil {
 		t.Error("negative budget: want error")
-	}
-	if _, err := OpenEdgeFile(path, WithEdgeFileMode("bogus")); err == nil {
-		t.Error("unknown mode: want error")
 	}
 }
 
@@ -477,9 +461,8 @@ func TestOpenByBackend(t *testing.T) {
 
 // BenchmarkSemiExtServe compares every semi-external serve path against
 // the in-memory pooled path for the same query; the perf-regression gate
-// tracks all four series, including allocs/op:
+// tracks all three series, including allocs/op:
 //
-//	SemiExt     — the residual per-query sequential streaming path
 //	Mmap        — shared zero-copy view, prefix rebuilt per query
 //	PrefixCache — shared decoded prefix, pooled engines, lock-free reads
 //	Memory      — the fully in-memory backend (the target to approach)
@@ -501,11 +484,6 @@ func BenchmarkSemiExtServe(b *testing.B) {
 			}
 		})
 	}
-	se, err := OpenEdgeFile(path, WithEdgeFileMode("stream"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	bench("SemiExt", se)
 	mm, err := OpenEdgeFile(path)
 	if err != nil {
 		b.Fatal(err)
@@ -522,56 +500,17 @@ func BenchmarkSemiExtServe(b *testing.B) {
 	bench("Memory", mem)
 }
 
-// benchPlanted returns the clustered serving workload the parallel and
-// compression benchmarks share: a planted-community graph whose whole-graph
-// work size is far above core.ParallelMinRoundWork — so large queries leave
-// the sequential prelude — and whose weight-banded rank locality is the
-// structure the v2 delta+varint layout compresses (~3x; uniformly random
-// graphs compress far less and are the wrong benchmark for it).
+// benchPlanted returns the clustered serving workload the compression
+// benchmark runs on: a planted-community graph whose weight-banded rank
+// locality is the structure the v2 delta+varint layout compresses (~3x;
+// uniformly random graphs compress far less and are the wrong benchmark
+// for it).
 func benchPlanted(b *testing.B) *graph.Graph {
 	g, err := gen.PlantedCommunities(48, 160, 0.4, 2, 42)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if g.PrefixSize(g.NumVertices()) < int64(core.ParallelMinRoundWork) {
-		b.Fatalf("benchmark graph below the parallel cutoff (%d < %d)",
-			g.PrefixSize(g.NumVertices()), core.ParallelMinRoundWork)
-	}
 	return g
-}
-
-// BenchmarkParallelServe measures intra-query parallelism on the
-// semi-external backend: the same deep query (k past the community count,
-// so the search sweeps the whole graph) served sequentially and with eight
-// workers. Results are byte-identical; on multi-core machines the
-// speculative rounds overlap and the parallel rows drop toward the cost of
-// the largest round alone. On a single-core runner the rows track each
-// other — the delta is then the pure orchestration overhead.
-func BenchmarkParallelServe(b *testing.B) {
-	g := benchPlanted(b)
-	path := writeEdgeFileFormat(b, g, semiext.FormatV1)
-	ctx := context.Background()
-	for _, c := range []struct {
-		name string
-		opts []OpenOption
-	}{
-		{"Sequential", nil},
-		{"Workers8", []OpenOption{WithWorkers(8)}},
-	} {
-		st, err := OpenEdgeFile(path, c.opts...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := st.TopK(ctx, 200, 2, core.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		st.Close()
-	}
 }
 
 // BenchmarkCompressedServe compares serving the flat (v1) and compressed

@@ -39,21 +39,12 @@ func WithPrefixCacheBytes(n int64) StoreOption {
 	return store.WithPrefixCacheBytes(n)
 }
 
-// WithEdgeFileMode selects the semi-external access path: "auto" (default)
-// shares one zero-copy view of the edge file across all queries, degrading
-// to positioned reads where mapping is unavailable; "mmap" is the same
-// view but fails to open without a real mapping; "stream" forces
-// per-query sequential reads.
-func WithEdgeFileMode(mode string) StoreOption {
-	return store.WithEdgeFileMode(mode)
-}
-
-// WithQueryWorkers bounds intra-query parallelism for the semi-external
-// backend: a query whose work size leaves the zero-overhead sequential path
-// evaluates its independent candidate prefixes on up to n goroutines, and
-// bulk decodes of compressed (v2) edge files split across the same workers.
-// Results — communities and access statistics alike — are byte-identical at
-// any setting; 0 or 1 (the default) serves strictly sequentially.
+// WithQueryWorkers splits the semi-external backend's bulk decodes of
+// compressed (v2) edge files across up to n goroutines. Results —
+// communities and access statistics alike — are byte-identical at any
+// setting; 0 or 1 (the default) decodes sequentially. The split halves a
+// whole-file decode on two cores but does not move serving latency, which
+// is why it stays off by default (docs/OPERATIONS.md).
 func WithQueryWorkers(n int) StoreOption {
 	return store.WithWorkers(n)
 }
@@ -61,8 +52,8 @@ func WithQueryWorkers(n int) StoreOption {
 // OpenEdgeFileStore opens a semi-external edge file written by SaveEdgeFile
 // as a Store. Only the per-vertex vectors are loaded; queries read just as
 // far into the adjacency as LocalSearch's geometric growth requires,
-// through a shared memory-mapped view by default (see WithEdgeFileMode)
-// and optionally through a shared decoded-prefix cache
+// through a shared memory-mapped view (positioned reads where mapping is
+// unavailable) and optionally through a shared decoded-prefix cache
 // (WithPrefixCacheBytes).
 func OpenEdgeFileStore(path string, opts ...StoreOption) (Store, error) {
 	return store.OpenEdgeFile(path, opts...)
