@@ -8,6 +8,7 @@
 package baseline
 
 import (
+	"context"
 	"sort"
 
 	"influcomm/internal/core"
@@ -203,36 +204,23 @@ func CountViaOnlineAll(g *graph.Graph, p int, gamma int32) (int, int64) {
 }
 
 // LocalSearchOA is Algorithm 1 with CountIC replaced by the OnlineAll
-// counting oracle, exactly the LocalSearch-OA configuration of Eval-III.
+// counting oracle, exactly the LocalSearch-OA configuration of Eval-III:
+// the rounds of core.Search, each counting by enumeration.
 func LocalSearchOA(g *graph.Graph, k int, gamma int32) ([]Community, Stats, error) {
 	if err := Validate(g, k, gamma); err != nil {
 		return nil, Stats{}, err
 	}
-	n := g.NumVertices()
-	p := k + int(gamma)
-	if p > n {
-		p = n
-	}
 	var st Stats
-	for {
+	search, err := core.Search(context.Background(), g, k, gamma, core.Options{}, func(p, _ int) (bool, error) {
 		cnt, work := CountViaOnlineAll(g, p, gamma)
 		st.ComponentWork += work
-		if cnt >= k || p == n {
-			st.Communities = cnt
-			break
-		}
-		want := int64(core.DefaultDelta * float64(g.PrefixSize(p)))
-		np := g.PrefixForSize(want)
-		if np <= p {
-			np = p + 1
-		}
-		if np > n {
-			np = n
-		}
-		p = np
+		st.Communities = cnt
+		return cnt >= k, nil
+	})
+	if err != nil {
+		return nil, Stats{}, err
 	}
-	eng := core.NewEngine(g, gamma)
-	cvs := eng.Run(p, 0, core.WantSeq)
+	cvs := core.NewEngine(g, gamma).Run(search.FinalPrefix, 0, core.WantSeq)
 	comms := core.EnumIC(g, cvs, k)
 	out := make([]Community, 0, len(comms))
 	for _, c := range comms {

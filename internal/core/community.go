@@ -3,6 +3,11 @@
 // γ-community search, its counting (CountIC, Algorithm 2) and enumeration
 // (EnumIC, Algorithm 3) subroutines, the progressive LocalSearch-P variant
 // (Algorithms 4–5), and the non-containment extension (§5.1).
+//
+// The growth loop lives in one place, Search: Lines 1 and 4 of Algorithm 1
+// as the generalized framework of §5.2 (Algorithm 6). TopKOver, the
+// progressive Stream, the truss package and the LocalSearch-OA baseline
+// each supply only the round that runs on the grown prefix.
 package core
 
 import (

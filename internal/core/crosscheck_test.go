@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"influcomm/internal/gen"
@@ -100,6 +101,47 @@ func TestCrossCheckDeltaVariants(t *testing.T) {
 		t.Fatalf("arithmetic growth: %v", err)
 	}
 	compare(t, "LocalSearch(arithmetic)", g, 5, 3, res.Communities, want)
+}
+
+// TestHugeGrowthJumpsToWholeGraph: a growth step whose target size does
+// not fit in int64 must take the search straight to the whole graph, not
+// degrade to one-vertex rounds (Backward's quadratic cost).
+func TestHugeGrowthJumpsToWholeGraph(t *testing.T) {
+	g := gen.Random(2000, 8, 3)
+	const k, gamma = 50, 3
+	want, err := TopK(g, k, gamma, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []Options{{Delta: 1e19}, {ArithmeticGrowth: math.MaxInt64}} {
+		res, err := TopK(g, k, gamma, opts)
+		if err != nil {
+			t.Fatalf("%+v: %v", opts, err)
+		}
+		if res.Stats.Rounds > 2 {
+			t.Errorf("%+v: TopK took %d rounds, want at most 2", opts, res.Stats.Rounds)
+		}
+		if len(res.Communities) != len(want.Communities) {
+			t.Fatalf("%+v: %d communities, want %d", opts, len(res.Communities), len(want.Communities))
+		}
+		for i, c := range res.Communities {
+			w := want.Communities[i]
+			if communityKey(c.Keynode(), c.Vertices()) != communityKey(w.Keynode(), w.Vertices()) {
+				t.Fatalf("%+v: community %d differs from zero Options", opts, i)
+			}
+		}
+		n := 0
+		st, err := Stream(g, gamma, opts, func(*Community) bool {
+			n++
+			return n < k
+		})
+		if err != nil {
+			t.Fatalf("%+v: stream: %v", opts, err)
+		}
+		if st.Rounds > 2 || n != k {
+			t.Errorf("%+v: Stream took %d rounds for %d communities, want at most 2 for %d", opts, st.Rounds, n, k)
+		}
+	}
 }
 
 func TestInitialPrefixOverrides(t *testing.T) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -254,6 +255,14 @@ func TestQueryValidation(t *testing.T) {
 	}
 	if _, err := TopK(g, 1, 3, Options{Delta: 0.5}); err == nil {
 		t.Error("delta<=1: want error")
+	}
+	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := TopK(g, 1, 3, Options{Delta: d}); err == nil {
+			t.Errorf("delta=%v: want error", d)
+		}
+		if _, err := Stream(g, 3, Options{Delta: d}, func(*Community) bool { return true }); err == nil {
+			t.Errorf("stream delta=%v: want error", d)
+		}
 	}
 	if _, err := TopK(g, 1, 3, Options{ArithmeticGrowth: -1}); err == nil {
 		t.Error("negative arithmetic growth: want error")

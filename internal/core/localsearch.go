@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"influcomm/internal/graph"
 )
@@ -17,7 +18,7 @@ const DefaultDelta = 2.0
 // initial prefix from the paper's (k+γ)-th weight heuristic, geometric
 // growth, containment semantics.
 type Options struct {
-	// Delta is the geometric growth ratio; must be > 1 if set.
+	// Delta is the geometric growth ratio; must be finite and > 1 if set.
 	Delta float64
 
 	// InitialPrefix overrides the starting prefix length τ₁ heuristic
@@ -43,6 +44,9 @@ func (o Options) delta() float64 {
 }
 
 func (o Options) validate() error {
+	if math.IsNaN(o.Delta) || math.IsInf(o.Delta, 0) {
+		return fmt.Errorf("core: growth ratio δ must be finite, got %v", o.Delta)
+	}
 	if o.Delta != 0 && o.Delta <= 1 {
 		return fmt.Errorf("core: growth ratio δ must exceed 1, got %v", o.Delta)
 	}
@@ -79,22 +83,6 @@ type Result struct {
 
 var errNilGraph = errors.New("core: nil graph")
 
-func validateQuery(g *graph.Graph, k int, gamma int32) error {
-	if g == nil {
-		return errNilGraph
-	}
-	if g.NumVertices() == 0 {
-		return errors.New("core: empty graph")
-	}
-	if k < 1 {
-		return fmt.Errorf("core: k must be >= 1, got %d", k)
-	}
-	if gamma < 1 {
-		return fmt.Errorf("core: gamma must be >= 1, got %d", gamma)
-	}
-	return nil
-}
-
 // PrefixSizer exposes the prefix-size geometry of a ranked graph: the only
 // facts the LocalSearch growth policy (Lines 1 and 4 of Algorithm 1) needs,
 // with no access to the adjacency itself. *graph.Graph implements it
@@ -128,15 +116,24 @@ func initialPrefix(g PrefixSizer, k int, gamma int32, opts Options) int {
 }
 
 // growPrefix implements Line 4 of Algorithm 1: the largest τ (smallest
-// prefix) whose size is at least δ times the current size, falling back to
-// the whole graph.
+// prefix) whose size is at least δ times the current size. A target at or
+// beyond size(G) — including one too large for int64 — yields the whole
+// graph.
 func growPrefix(g PrefixSizer, p int, opts Options) int {
-	cur := g.PrefixSize(p)
+	n := g.NumVertices()
+	cur, total := g.PrefixSize(p), g.PrefixSize(n)
 	var want int64
 	if opts.ArithmeticGrowth > 0 {
+		if opts.ArithmeticGrowth > total-cur {
+			return n
+		}
 		want = cur + opts.ArithmeticGrowth
 	} else {
-		want = int64(opts.delta() * float64(cur))
+		target := opts.delta() * float64(cur)
+		if target >= float64(total) {
+			return n
+		}
+		want = int64(target)
 		if want <= cur {
 			want = cur + 1
 		}
@@ -145,10 +142,65 @@ func growPrefix(g PrefixSizer, p int, opts Options) int {
 	if next <= p {
 		next = p + 1
 	}
-	if next > g.NumVertices() {
-		next = g.NumVertices()
+	if next > n {
+		next = n
 	}
 	return next
+}
+
+// Search is the one LocalSearch growth loop: Algorithm 6 of §5.2, of which
+// LocalSearch (Algorithm 1), LocalSearch-P (Algorithm 4), the truss search
+// and the LocalSearch-OA ablation are instances. It validates the query,
+// starts from the initial prefix of Line 1, and calls round on the prefix
+// [0, p) — prev is the previous round's prefix (0 in the first round),
+// which progressive rounds hand to ConstructCVS — growing p geometrically
+// (Line 4) until round reports done or the whole graph has been processed.
+// The context is checked before the first round and between rounds.
+//
+// The returned Stats account every completed round: Rounds, TotalWork
+// (Σ size of the prefixes, Lemma 3.7), and FinalPrefix/FinalSize of the
+// last one (Lemma 3.8). Communities is left for the caller, which alone
+// knows what its rounds found. A round error ends the search and is
+// returned with the Stats of the rounds completed before it.
+func Search(ctx context.Context, sizer PrefixSizer, k int, gamma int32, opts Options, round func(p, prev int) (done bool, err error)) (Stats, error) {
+	var st Stats
+	if sizer == nil {
+		return st, errors.New("core: nil search source")
+	}
+	n := sizer.NumVertices()
+	if n == 0 {
+		return st, errors.New("core: empty graph")
+	}
+	if k < 1 {
+		return st, fmt.Errorf("core: k must be >= 1, got %d", k)
+	}
+	if gamma < 1 {
+		return st, fmt.Errorf("core: gamma must be >= 1, got %d", gamma)
+	}
+	if err := opts.validate(); err != nil {
+		return st, err
+	}
+	if err := ctx.Err(); err != nil {
+		return st, err
+	}
+	p, prev := initialPrefix(sizer, k, gamma, opts), 0
+	for {
+		done, err := round(p, prev)
+		if err != nil {
+			return st, err
+		}
+		st.Rounds++
+		st.FinalPrefix = p
+		st.FinalSize = sizer.PrefixSize(p)
+		st.TotalWork += st.FinalSize
+		if done || p == n {
+			return st, nil
+		}
+		if err := ctx.Err(); err != nil {
+			return st, err
+		}
+		prev, p = p, growPrefix(sizer, p, opts)
+	}
 }
 
 // TopK computes the top-k influential γ-communities of g with the
@@ -165,8 +217,8 @@ func TopK(g *graph.Graph, k int, gamma int32, opts Options) (*Result, error) {
 // so an expired context makes the call return ctx.Err() promptly even on
 // graphs where a single round is large.
 func TopKCtx(ctx context.Context, g *graph.Graph, k int, gamma int32, opts Options) (*Result, error) {
-	if err := validateQuery(g, k, gamma); err != nil {
-		return nil, err
+	if g == nil {
+		return nil, errNilGraph
 	}
 	return TopKOver(ctx, GraphSource(g), k, gamma, opts)
 }
@@ -184,11 +236,12 @@ func countOf(c *CVS, nonContainment bool) int {
 	return cnt
 }
 
-// nonContainmentCommunities extracts the top-k non-containment communities:
-// the non-containment keynodes' groups are exactly their communities (§5.1).
+// nonContainmentCommunities extracts the top-k non-containment communities
+// (all of them when k < 0): the non-containment keynodes' groups are
+// exactly their communities (§5.1).
 func nonContainmentCommunities(g *graph.Graph, c *CVS, k int) []*Community {
 	var out []*Community
-	for j := len(c.Keys) - 1; j >= 0 && len(out) < k; j-- {
+	for j := len(c.Keys) - 1; j >= 0 && (k < 0 || len(out) < k); j-- {
 		if !c.NC[j] {
 			continue
 		}

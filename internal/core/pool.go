@@ -65,18 +65,11 @@ func (p *Pool) TopK(ctx context.Context, k int, gamma int32, opts Options) (*Res
 // retain each round's group slices — so only the engine allocation is
 // saved.
 func (p *Pool) Stream(ctx context.Context, gamma int32, opts Options, yield func(*Community) bool) (Stats, error) {
-	var st Stats
-	if err := validateQuery(p.g, 1, gamma); err != nil {
-		return st, err
-	}
-	if err := opts.validate(); err != nil {
-		return st, err
-	}
-	if err := ctx.Err(); err != nil {
-		return st, err
+	if p.g == nil {
+		return Stats{}, errNilGraph
 	}
 	eng := p.Get(gamma)
 	defer p.Put(eng)
 	eng.SetContext(ctx)
-	return runStream(ctx, eng, p.g, opts, yield)
+	return runStream(ctx, eng, opts, yield)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 
 	"influcomm/internal/graph"
 )
@@ -22,84 +23,54 @@ func Stream(g *graph.Graph, gamma int32, opts Options, yield func(*Community) bo
 // boundaries and inside rounds every few thousand steps, so a cancelled
 // context stops the search promptly between yields.
 func StreamCtx(ctx context.Context, g *graph.Graph, gamma int32, opts Options, yield func(*Community) bool) (Stats, error) {
-	var st Stats
-	if err := validateQuery(g, 1, gamma); err != nil {
-		return st, err
-	}
-	if err := opts.validate(); err != nil {
-		return st, err
-	}
-	if err := ctx.Err(); err != nil {
-		return st, err
+	if g == nil {
+		return Stats{}, errNilGraph
 	}
 	eng := NewEngine(g, gamma)
 	eng.SetContext(ctx)
-	return runStream(ctx, eng, g, opts, yield)
+	return runStream(ctx, eng, opts, yield)
 }
 
-// runStream is the shared LocalSearch-P driver behind StreamCtx and
-// Pool.Stream. Unlike TopKOver it never reuses CVS buffers across rounds:
-// progressive enumeration retains each round's group slices in the
-// communities it yields, so every round's CVS must own its memory.
-func runStream(ctx context.Context, eng *Engine, g *graph.Graph, opts Options, yield func(*Community) bool) (Stats, error) {
-	var st Stats
-	n := g.NumVertices()
-	// Line 1 of Algorithm 4: largest τ that could hold one community.
-	p := initialPrefix(g, 1, eng.Gamma(), opts)
-	prev := 0
-	enum := NewEnumState(n)
+// runStream runs LocalSearch-P as rounds of Search over the engine's
+// graph; it is shared by StreamCtx and Pool.Stream. Unlike TopKOver it
+// never reuses CVS buffers across rounds: progressive enumeration retains
+// each round's group slices in the communities it yields, so every round's
+// CVS must own its memory.
+func runStream(ctx context.Context, eng *Engine, opts Options, yield func(*Community) bool) (Stats, error) {
+	g := eng.Graph()
+	enum := NewEnumState(g.NumVertices())
 	flags := WantSeq
 	if opts.NonContainment {
 		flags |= WantNC
 	}
-	for {
+	yielded := 0
+	// k = 1: Line 1 of Algorithm 4 starts from the largest τ that could
+	// hold one community; rounds then run until yield stops the search.
+	st, err := Search(ctx, g, 1, eng.Gamma(), opts, func(p, prev int) (bool, error) {
 		// ConstructCVS (Algorithm 5): only keynodes not already reported
 		// in the previous round's prefix are produced, implementing the
 		// computation sharing that makes LocalSearch-P no slower than
 		// LocalSearch (Figure 15).
 		cvs, err := eng.RunInto(nil, p, prev, flags)
 		if err != nil {
-			return st, err
+			return false, err
 		}
-		st.Rounds++
-		st.TotalWork += g.PrefixSize(p)
-		st.FinalPrefix = p
-		st.FinalSize = g.PrefixSize(p)
-
+		var comms []*Community
 		if opts.NonContainment {
-			for j := len(cvs.Keys) - 1; j >= 0; j-- {
-				if !cvs.NC[j] {
-					continue
-				}
-				st.Communities++
-				seg := cvs.Group(j)
-				c := &Community{
-					keynode:   cvs.Keys[j],
-					influence: g.Weight(cvs.Keys[j]),
-					group:     seg,
-					size:      len(seg),
-				}
-				if !yield(c) {
-					return st, nil
-				}
-			}
+			comms = nonContainmentCommunities(g, cvs, -1)
 		} else {
-			for _, c := range enum.Process(g, cvs, -1) {
-				st.Communities++
-				if !yield(c) {
-					return st, nil
-				}
+			comms = enum.Process(g, cvs, -1)
+		}
+		for _, c := range comms {
+			yielded++
+			if !yield(c) {
+				return true, nil
 			}
 		}
-		if p == n {
-			return st, nil
-		}
-		if err := ctx.Err(); err != nil {
-			return st, err
-		}
-		prev = p
-		p = growPrefix(g, p, opts)
-	}
+		return false, nil
+	})
+	st.Communities = yielded
+	return st, err
 }
 
 // TopKProgressive answers a top-k query with LocalSearch-P, collecting the
@@ -107,8 +78,8 @@ func runStream(ctx context.Context, eng *Engine, g *graph.Graph, opts Options, y
 // progressive and non-progressive algorithms on identical queries
 // (Figures 14 and 15).
 func TopKProgressive(g *graph.Graph, k int, gamma int32, opts Options) (*Result, error) {
-	if err := validateQuery(g, k, gamma); err != nil {
-		return nil, err
+	if k < 1 {
+		return nil, fmt.Errorf("core: k must be >= 1, got %d", k)
 	}
 	res := &Result{}
 	st, err := Stream(g, gamma, opts, func(c *Community) bool {

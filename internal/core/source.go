@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"influcomm/internal/graph"
@@ -65,41 +64,19 @@ func (s poolSource) SourcePool(*graph.Graph) *Pool         { return s.p }
 func GraphSource(g *graph.Graph) SearchSource { return memSource{g} }
 
 // TopKOver runs LocalSearch (Algorithm 1) against an arbitrary SearchSource:
-// the same round structure, growth policy, and enumeration as TopKCtx, but
-// each round's γ-core computation happens on whatever graph the source
-// materializes. Over GraphSource it is equivalent to TopKCtx; over a
-// semi-external source the full graph is never loaded — each round touches
-// only the prefix the search has grown to, which is how a query can execute
-// against a graph larger than RAM.
+// the rounds of Search, each running CountIC on whatever graph the source
+// materializes for the prefix. Over GraphSource it is equivalent to
+// TopKCtx; over a semi-external source the full graph is never loaded —
+// each round touches only the prefix the search has grown to, which is how
+// a query can execute against a graph larger than RAM.
 func TopKOver(ctx context.Context, src SearchSource, k int, gamma int32, opts Options) (*Result, error) {
-	if src == nil {
-		return nil, errors.New("core: nil search source")
-	}
-	n := src.NumVertices()
-	if n == 0 {
-		return nil, errors.New("core: empty graph")
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("core: k must be >= 1, got %d", k)
-	}
-	if gamma < 1 {
-		return nil, fmt.Errorf("core: gamma must be >= 1, got %d", gamma)
-	}
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	p := initialPrefix(src, k, gamma, opts)
 	flags := WantSeq
 	if opts.NonContainment {
 		flags |= WantNC
 	}
 	ps, _ := src.(PooledSource)
 	var (
-		st  Stats
+		cnt int
 		cvs *CVS
 		g   *graph.Graph
 		eng *Engine
@@ -119,13 +96,13 @@ func TopKOver(ctx context.Context, src SearchSource, k int, gamma int32, opts Op
 			scratchPool.buffers.Put(scratch)
 		}
 	}()
-	for {
+	st, err := Search(ctx, src, k, gamma, opts, func(p, _ int) (bool, error) {
 		mg, err := src.Materialize(p)
 		if err != nil {
-			return nil, err
+			return false, err
 		}
 		if mg.NumVertices() < p {
-			return nil, fmt.Errorf("core: source materialized %d vertices, prefix needs %d", mg.NumVertices(), p)
+			return false, fmt.Errorf("core: source materialized %d vertices, prefix needs %d", mg.NumVertices(), p)
 		}
 		// Engines are bound to one graph; reuse only while the source keeps
 		// returning the same one (the in-memory case, or a cached prefix
@@ -152,22 +129,15 @@ func TopKOver(ctx context.Context, src SearchSource, k int, gamma int32, opts Op
 		}
 		cvs, err = eng.RunInto(scratch, p, 0, flags)
 		if err != nil {
-			return nil, err
+			return false, err
 		}
-		st.Rounds++
-		st.TotalWork += src.PrefixSize(p)
-		cnt := countOf(cvs, opts.NonContainment)
-		if cnt >= k || p == n {
-			st.Communities = cnt
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		p = growPrefix(src, p, opts)
+		cnt = countOf(cvs, opts.NonContainment)
+		return cnt >= k, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	st.FinalPrefix = p
-	st.FinalSize = src.PrefixSize(p)
+	st.Communities = cnt
 
 	if scratch != nil {
 		// cvs aliases the pooled buffer; enumeration retains group slices,

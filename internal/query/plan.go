@@ -4,7 +4,8 @@ import "fmt"
 
 // Access paths a plan node can be assigned. They are the planner's greedy,
 // statistics-free choice; executors treat them as advisory and stay free to
-// fall back (e.g. index → LocalSearch while a rebuild is in flight).
+// fall back (e.g. index → LocalSearch while a rebuild is in flight). The
+// single-node server reports the path its execution took instead.
 const (
 	// PathIndex serves the node from the dataset's prebuilt influence index.
 	PathIndex = "index"
@@ -51,9 +52,9 @@ type Node struct {
 // byte-identity property tests compare against.
 func (n *Node) FixedShape() bool { return n.Seeds == nil }
 
-// PickPath decides a node's access path. Executors pass one reflecting the
-// dataset's capabilities; nil means no prebuilt indexes (always LocalSearch
-// or the truss fallback).
+// PickPath decides a node's access path. Executors pass one reflecting
+// where nodes run (the coordinator: scatter); nil means truss for truss
+// semantics and LocalSearch otherwise.
 type PickPath func(mode string, near bool) string
 
 // PlanQuery expands a parsed batch into its plan nodes: one node per

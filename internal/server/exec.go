@@ -9,6 +9,7 @@ import (
 	"influcomm/internal/cluster"
 	"influcomm/internal/core"
 	"influcomm/internal/graph"
+	"influcomm/internal/query"
 	"influcomm/internal/store"
 	"influcomm/internal/truss"
 )
@@ -70,6 +71,9 @@ type execResult struct {
 	Communities []communityJSON
 	// Accessed is the final LocalSearch prefix; 0 on the index path.
 	Accessed int
+	// Path is the access path that answered: query.PathIndex, PathLocal
+	// or PathTruss.
+	Path string
 }
 
 // executeTopK runs one top-k query against the pinned dataset ds. epoch is
@@ -78,10 +82,11 @@ type execResult struct {
 // racing an update can never serve a pre-update index answer as current.
 // Serving-path metrics are counted here, shared by every entry point.
 func (s *Server) executeTopK(ctx context.Context, ds *dataset, p queryParams, epoch uint64) (*execResult, error) {
-	out := &execResult{}
+	out := &execResult{Path: query.PathLocal}
 	ix := ds.indexAt(epoch)
 	switch {
 	case p.Mode == cluster.ModeTruss:
+		out.Path = query.PathTruss
 		// Graph and epoch must be one coherent read for mutable datasets,
 		// so the truss index is always built on exactly the snapshot the
 		// epoch names (possibly newer than the keyed epoch above, which is
@@ -105,6 +110,7 @@ func (s *Server) executeTopK(ctx context.Context, ds *dataset, p queryParams, ep
 		// default semantics in output-proportional time. Accessed stays 0 —
 		// the point of the index is that no part of the graph outside the
 		// reported communities is touched.
+		out.Path = query.PathIndex
 		comms, err := ix.TopK(p.K, p.Gamma)
 		if err != nil {
 			return nil, queryError(err)

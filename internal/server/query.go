@@ -63,7 +63,7 @@ type statementResult struct {
 }
 
 // nodeResult is one executed plan node: its fixed shape, the access path
-// the planner picked, and the communities after the statement's filters.
+// that answered it, and the communities after the statement's filters.
 type nodeResult struct {
 	K     int    `json:"k"`
 	Gamma int    `json:"gamma"`
@@ -140,17 +140,7 @@ func (s *Server) runQueryBatch(ctx context.Context, w http.ResponseWriter, r *ht
 	// else, a concurrent update can at worst make an execution see a newer
 	// snapshot than the epoch it is keyed under — never an older one.)
 	epoch := ds.epoch()
-	hasIndex := ds.indexAt(epoch) != nil
-	nodes, err := query.PlanQuery(q, func(mode string, near bool) string {
-		switch {
-		case mode == query.SemTruss:
-			return query.PathTruss
-		case !near && mode == query.SemCore && hasIndex:
-			return query.PathIndex
-		default:
-			return query.PathLocal
-		}
-	})
+	nodes, err := query.PlanQuery(q, nil)
 	if err != nil {
 		return nil, &httpError{http.StatusBadRequest, err.Error()}
 	}
@@ -183,7 +173,7 @@ func (s *Server) runQueryBatch(ctx context.Context, w http.ResponseWriter, r *ht
 			K:                n.K,
 			Gamma:            int(n.Gamma),
 			Mode:             n.Mode,
-			Path:             n.Path,
+			Path:             er.Path,
 			Shared:           shared,
 			Communities:      cluster.ApplyDSLFilters(q.Statements[n.Stmt].Filters, er.Communities),
 			AccessedVertices: er.Accessed,
@@ -239,7 +229,7 @@ func (s *Server) executeNode(ctx context.Context, ds *dataset, n query.Node, epo
 		}
 		s.metrics.localServed.Add(1)
 		ds.localServed.Add(1)
-		out := &execResult{Accessed: res.Stats.FinalPrefix}
+		out := &execResult{Accessed: res.Stats.FinalPrefix, Path: query.PathLocal}
 		for _, c := range res.Communities {
 			out.Communities = append(out.Communities, cluster.Render(rw, c.Influence(), c.Keynode(), c.Vertices()))
 		}

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 
+	"influcomm/internal/index"
+	"influcomm/internal/query"
 	"influcomm/internal/store"
 )
 
@@ -74,16 +76,23 @@ func topKCommunities(t *testing.T, ts *httptest.Server, params string) json.RawM
 
 // dslBackendsServer serves the same graph from all three backends: the
 // default in-memory dataset, a semi-external "se" dataset, and a mutable
-// "dyn" dataset. rankGraph keeps their answers byte-comparable.
+// "dyn" dataset, plus an in-memory "ix" dataset carrying a prebuilt index.
+// rankGraph keeps their answers byte-comparable.
 func dslBackendsServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	ms, err := store.OpenMutableGraph(rankGraph(t))
 	if err != nil {
 		t.Fatal(err)
 	}
+	ixg := rankGraph(t)
+	ix, err := index.Build(ixg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, err := New(rankGraph(t),
 		WithDataset("se", DatasetConfig{Store: edgeFileStore(t, rankGraph(t))}),
 		WithDataset("dyn", DatasetConfig{Store: ms}),
+		WithDataset("ix", DatasetConfig{Graph: ixg, Index: ix}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +104,8 @@ func dslBackendsServer(t *testing.T) (*Server, *httptest.Server) {
 
 // TestPlanFixedShapeByteIdentity is the DSL's core property: a query whose
 // plan reduces to a fixed (k, γ, semantics) shape returns communities
-// byte-identical to /v1/topk with the same shape, on every backend.
+// byte-identical to /v1/topk with the same shape, on every backend, and
+// reports the access path that answered it.
 func TestPlanFixedShapeByteIdentity(t *testing.T) {
 	_, ts := dslBackendsServer(t)
 	shapes := []struct {
@@ -109,7 +119,7 @@ func TestPlanFixedShapeByteIdentity(t *testing.T) {
 		{2, 3, "noncontainment", "&noncontainment=1"},
 		{3, 3, "truss", "&truss=1"},
 	}
-	for _, dataset := range []string{"default", "se", "dyn"} {
+	for _, dataset := range []string{"default", "se", "dyn", "ix"} {
 		for _, sh := range shapes {
 			if dataset == "se" && sh.sem == "truss" {
 				continue // truss needs whole-graph access
@@ -125,6 +135,16 @@ func TestPlanFixedShapeByteIdentity(t *testing.T) {
 			}
 			if len(qr.Results) != 1 || len(qr.Results[0].Nodes) != 1 {
 				t.Fatalf("%s on %s: unexpected result shape: %s", src, dataset, body)
+			}
+			wantPath := query.PathLocal
+			switch {
+			case sh.sem == "truss":
+				wantPath = query.PathTruss
+			case sh.sem == "core" && dataset == "ix":
+				wantPath = query.PathIndex
+			}
+			if p := qr.Results[0].Nodes[0].Path; p != wantPath {
+				t.Errorf("%s on %s: path %q, want %q", src, dataset, p, wantPath)
 			}
 			got := qr.Results[0].Nodes[0].Communities
 			want := topKCommunities(t, ts, fmt.Sprintf("k=%d&gamma=%d&dataset=%s%s", sh.k, sh.gamma, dataset, sh.flag))
@@ -336,6 +356,61 @@ func TestCSESharingNeverCrossesEpochs(t *testing.T) {
 	}
 	if total != 2 {
 		t.Errorf("decompositions across the epoch change = %d, want 2 (one per epoch)", total)
+	}
+}
+
+// TestPathReportsSharedExecution: a node served from the sharer's memo
+// reports the path of the execution it shares, even when an index attached
+// at the same epoch since (a bootstrap or background rebuild does that);
+// a fresh node at that epoch then reports the index.
+func TestPathReportsSharedExecution(t *testing.T) {
+	g := rankGraph(t)
+	s, err := New(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	node := func(src string) (string, bool) {
+		t.Helper()
+		code, body := postQuery(t, ts, fmt.Sprintf(`{"query":%q}`, src))
+		var qr rawQueryResponse
+		if err := json.Unmarshal(body, &qr); err != nil {
+			t.Fatalf("%s: unmarshal %s: %v", src, body, err)
+		}
+		if code != http.StatusOK || len(qr.Results) != 1 || len(qr.Results[0].Nodes) != 1 {
+			t.Fatalf("%s: status %d: %s", src, code, body)
+		}
+		n := qr.Results[0].Nodes[0]
+		return n.Path, n.Shared
+	}
+
+	const src = "topk(k=3, gamma=2, semantics=core)"
+	if path, shared := node(src); path != query.PathLocal || shared {
+		t.Fatalf("first run: path %q shared %v, want %q unshared", path, shared, query.PathLocal)
+	}
+	ds := s.registry.acquireLookup(DefaultDataset)
+	if ds == nil {
+		t.Fatal("default dataset missing")
+	}
+	defer ds.release()
+	ix, err := index.Build(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds.attached.Store(&attachedIndex{ix: ix, epoch: ds.epoch()})
+
+	if path, shared := node(src); path != query.PathLocal || !shared {
+		t.Errorf("memoized run: path %q shared %v, want %q shared", path, shared, query.PathLocal)
+	}
+	if n := s.metrics.indexServed.Load(); n != 0 {
+		t.Errorf("index served %d queries before a fresh node, want 0", n)
+	}
+	if path, shared := node("topk(k=2, gamma=2, semantics=core)"); path != query.PathIndex || shared {
+		t.Errorf("fresh run: path %q shared %v, want %q unshared", path, shared, query.PathIndex)
+	}
+	if n := s.metrics.indexServed.Load(); n != 1 {
+		t.Errorf("index served %d queries, want 1", n)
 	}
 }
 

@@ -1,0 +1,151 @@
+package truss
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"influcomm/internal/core"
+	"influcomm/internal/graph"
+)
+
+// FuzzSearch holds every instance of the one growth loop, core.Search, to
+// the brute-force references on small graphs decoded from raw bytes:
+// core.TopK under both core semantics against NaiveTopK and
+// NaiveNonContainment, Pool.TopK and the progressive Stream against TopK,
+// and for γ ≥ 2 the truss LocalSearch and Stream against truss.NaiveTopK,
+// across δ ∈ {default, 1.5, 3}. Every Stats must account its final prefix.
+func FuzzSearch(f *testing.F) {
+	k5 := []byte{0, 1, 0, 2, 0, 3, 0, 4, 1, 2, 1, 3, 1, 4, 2, 3, 2, 4, 3, 4}
+	f.Add(k5, uint8(4), uint8(1), uint8(2), uint8(0))
+	f.Add(append(k5, 4, 5, 5, 6, 5, 7, 5, 8, 6, 7, 6, 8, 7, 8, 8, 9, 9, 5, 9, 6), uint8(9), uint8(3), uint8(1), uint8(3))
+	f.Add([]byte("the quick brown fox jumps over the lazy dog; pack my box with five dozen liquor jugs"), uint8(15), uint8(4), uint8(1), uint8(1))
+	f.Add([]byte{}, uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add([]byte("sphinx of black quartz, judge my vow! how vexingly quick daft zebras jump; waltz, bad nymph, for quick jigs vex"), uint8(23), uint8(11), uint8(3), uint8(5))
+	f.Add([]byte{1, 2, 2, 3, 3, 1, 3, 4, 4, 5, 5, 3, 5, 6, 6, 7, 7, 5, 1, 7}, uint8(7), uint8(2), uint8(1), uint8(2))
+	f.Fuzz(func(t *testing.T, raw []byte, nRaw, kRaw, gammaRaw, knobs uint8) {
+		n := int32(nRaw%24) + 1
+		var b graph.Builder
+		// Distinct weights in a byte-chosen order: x ↦ a·x + c is a
+		// bijection modulo the prime 1000003 for any a it does not divide.
+		a := 7919 * (uint64(knobs) + 1)
+		for id := int32(0); id < n; id++ {
+			b.AddVertex(id, float64((uint64(id)*a+uint64(kRaw))%1000003))
+		}
+		for i := 0; i+1 < len(raw) && i < 200; i += 2 {
+			b.AddEdge(int32(raw[i])%n, int32(raw[i+1])%n)
+		}
+		g, err := b.Build()
+		if err != nil {
+			t.Fatalf("builder rejected in-range input: %v", err)
+		}
+		k := int(kRaw%12) + 1
+		gamma := int32(gammaRaw%5) + 1
+		opts := core.Options{
+			Delta:          []float64{0, 1.5, 3}[knobs%3],
+			NonContainment: (knobs/3)%2 == 1,
+		}
+		name := fmt.Sprintf("k=%d γ=%d %+v", k, gamma, opts)
+
+		res, err := core.TopK(g, k, gamma, opts)
+		if err != nil {
+			t.Fatalf("%s: TopK: %v", name, err)
+		}
+		var want []core.NaiveCommunity
+		if opts.NonContainment {
+			want = core.NaiveNonContainment(g, gamma)
+			if len(want) > k {
+				want = want[:k]
+			}
+		} else {
+			want = core.NaiveTopK(g, k, gamma)
+		}
+		got := make([]string, len(res.Communities))
+		for i, c := range res.Communities {
+			got[i] = fmt.Sprint(c.Keynode(), c.Vertices())
+		}
+		wantKeys := make([]string, len(want))
+		for i, c := range want {
+			wantKeys[i] = fmt.Sprint(c.Keynode, c.Vertices)
+		}
+		sameKeys(t, name+" TopK vs naive", got, wantKeys)
+		accounted(t, name+" TopK", g, res.Stats)
+
+		pooled, err := core.NewPool(g).TopK(context.Background(), k, gamma, opts)
+		if err != nil {
+			t.Fatalf("%s: Pool.TopK: %v", name, err)
+		}
+		if pooled.Stats != res.Stats {
+			t.Fatalf("%s: Pool.TopK stats %+v, TopK %+v", name, pooled.Stats, res.Stats)
+		}
+		pk := make([]string, len(pooled.Communities))
+		for i, c := range pooled.Communities {
+			pk[i] = fmt.Sprint(c.Keynode(), c.Vertices())
+		}
+		sameKeys(t, name+" Pool.TopK vs TopK", pk, got)
+
+		var streamed []string
+		st, err := core.Stream(g, gamma, opts, func(c *core.Community) bool {
+			streamed = append(streamed, fmt.Sprint(c.Keynode(), c.Vertices()))
+			return len(streamed) < k
+		})
+		if err != nil {
+			t.Fatalf("%s: Stream: %v", name, err)
+		}
+		sameKeys(t, name+" Stream vs TopK", streamed, got)
+		accounted(t, name+" Stream", g, st)
+
+		if gamma < 2 {
+			return
+		}
+		ix := NewIndex(g)
+		tr, err := LocalSearch(ix, k, gamma)
+		if err != nil {
+			t.Fatalf("%s: truss LocalSearch: %v", name, err)
+		}
+		var twant []string
+		for _, c := range NaiveTopK(g, k, gamma) {
+			twant = append(twant, fmt.Sprint(c.Keynode, c.Vertices))
+		}
+		var tgot []string
+		for _, c := range tr.Communities {
+			tgot = append(tgot, fmt.Sprint(c.Keynode(), c.Vertices()))
+		}
+		sameKeys(t, name+" truss LocalSearch vs naive", tgot, twant)
+		accounted(t, name+" truss LocalSearch", g, tr.Stats)
+
+		var tstreamed []string
+		p, err := Stream(ix, gamma, func(c *Community) bool {
+			tstreamed = append(tstreamed, fmt.Sprint(c.Keynode(), c.Vertices()))
+			return len(tstreamed) < k
+		})
+		if err != nil {
+			t.Fatalf("%s: truss Stream: %v", name, err)
+		}
+		sameKeys(t, name+" truss Stream vs naive", tstreamed, twant)
+		if p < 1 || p > g.NumVertices() {
+			t.Fatalf("%s: truss Stream stopped at prefix %d of %d", name, p, g.NumVertices())
+		}
+	})
+}
+
+func sameKeys(t *testing.T, what string, got, want []string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d communities, want %d\n got %v\nwant %v", what, len(got), len(want), got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: community %d is %s, want %s", what, i, got[i], want[i])
+		}
+	}
+}
+
+// accounted checks the loop's bookkeeping: the final prefix's size is the
+// size reported, and the total work covers at least that last round.
+func accounted(t *testing.T, what string, g *graph.Graph, st core.Stats) {
+	t.Helper()
+	if st.Rounds < 1 || st.FinalSize != g.PrefixSize(st.FinalPrefix) || st.TotalWork < st.FinalSize {
+		t.Fatalf("%s: stats %+v inconsistent (size of prefix %d is %d)", what, st, st.FinalPrefix, g.PrefixSize(st.FinalPrefix))
+	}
+}

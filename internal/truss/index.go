@@ -3,6 +3,8 @@
 // of prefix subgraphs, the CountICC / EnumICC subroutines (Algorithm 7) for
 // influential γ-truss communities, and the LocalSearch-Truss /
 // GlobalSearch-Truss algorithms compared in Eval-VIII (Figure 19).
+// LocalSearch and Stream are rounds of core.Search, the one growth loop,
+// with zero Options (δ = 2).
 //
 // A graph has cohesiveness γ under the truss measure when every edge
 // participates in at least γ−2 triangles.

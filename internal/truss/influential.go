@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+
+	"influcomm/internal/core"
 )
 
 // Community is one influential γ-truss community, a node of the containment
@@ -69,70 +71,15 @@ func CountICC(ix *Index, p int, gamma int32) *CVS {
 }
 
 // EnumICC reconstructs the top-k influential γ-truss communities (all of
-// them when k < 0) from a CountICC run, in decreasing influence order. Two
-// truss communities sharing a vertex are nested (see package doc of core),
-// so the EnumIC disjoint-set construction carries over with vertex sharing
-// as the linking relation.
+// them when k < 0) from a CountICC run, in decreasing influence order: the
+// one-round use of EnumState.
 func EnumICC(ix *Index, c *CVS, k int) []*Community {
-	start := 0
-	if k >= 0 && len(c.Keys) > k {
-		start = len(c.Keys) - k
-	}
-	n := ix.g.NumVertices()
-	vgroup := make([]int32, n)
-	for i := range vgroup {
-		vgroup[i] = -1
-	}
-	var parent []int32
-	find := func(j int32) int32 {
-		for parent[j] != j {
-			parent[j] = parent[parent[j]]
-			j = parent[j]
-		}
-		return j
-	}
-	var comms []*Community
-	out := make([]*Community, 0, len(c.Keys)-start)
-	for j := len(c.Keys) - 1; j >= start; j-- {
-		u := c.Keys[j]
-		gid := int32(len(comms))
-		parent = append(parent, gid)
-		com := &Community{keynode: u, influence: ix.g.Weight(u)}
-		claim := func(w int32) {
-			if vgroup[w] < 0 {
-				vgroup[w] = gid
-				com.group = append(com.group, w)
-				com.size++
-				return
-			}
-			r := find(vgroup[w])
-			if r == gid {
-				return
-			}
-			child := comms[r]
-			com.children = append(com.children, child)
-			com.size += child.size
-			parent[r] = gid
-		}
-		for _, e := range c.Group(j) {
-			lo, hi := ix.Endpoints(e)
-			claim(lo)
-			claim(hi)
-		}
-		comms = append(comms, com)
-		out = append(out, com)
-	}
-	return out
+	return NewEnumState(ix).Process(c, k)
 }
 
-// Stats mirrors core.Stats for the truss algorithms.
-type Stats struct {
-	Rounds      int
-	FinalPrefix int
-	FinalSize   int64
-	TotalWork   int64
-	Communities int
-}
+// Stats is core.Stats: the truss rounds run in core.Search and are
+// accounted exactly like the min-degree ones.
+type Stats = core.Stats
 
 // Result is the output of LocalSearch and GlobalSearch.
 type Result struct {
@@ -157,8 +104,9 @@ func validate(ix *Index, k int, gamma int32) error {
 }
 
 // LocalSearch computes the top-k influential γ-truss communities with the
-// generalized local search framework (Algorithm 6): grow the high-weight
-// prefix geometrically (δ = 2) until it holds k communities, then enumerate.
+// generalized local search framework (Algorithm 6): rounds of core.Search,
+// each running CountICC on the grown prefix (δ = 2), until the prefix
+// holds k communities, then EnumICC.
 func LocalSearch(ix *Index, k int, gamma int32) (*Result, error) {
 	return LocalSearchCtx(context.Background(), ix, k, gamma)
 }
@@ -170,43 +118,19 @@ func LocalSearchCtx(ctx context.Context, ix *Index, k int, gamma int32) (*Result
 	if err := validate(ix, k, gamma); err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	g := ix.g
-	n := g.NumVertices()
-	p := k + int(gamma)
-	if p > n {
-		p = n
-	}
-	var st Stats
 	var cvs *CVS
-	for {
+	st, err := core.Search(ctx, ix.g, k, gamma, core.Options{}, func(p, _ int) (bool, error) {
 		var err error
 		cvs, err = countICCFromCtx(ctx, ix, p, 0, gamma)
 		if err != nil {
-			return nil, err
+			return false, err
 		}
-		st.Rounds++
-		st.TotalWork += g.PrefixSize(p)
-		if cvs.Count() >= k || p == n {
-			st.Communities = cvs.Count()
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		next := g.PrefixForSize(2 * g.PrefixSize(p))
-		if next <= p {
-			next = p + 1
-		}
-		if next > n {
-			next = n
-		}
-		p = next
+		return cvs.Count() >= k, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	st.FinalPrefix = p
-	st.FinalSize = g.PrefixSize(p)
+	st.Communities = cvs.Count()
 	return &Result{Communities: EnumICC(ix, cvs, k), Stats: st}, nil
 }
 

@@ -2,8 +2,8 @@ package truss
 
 import (
 	"context"
-	"errors"
-	"fmt"
+
+	"influcomm/internal/core"
 )
 
 // CountICCFrom is the truss ConstructCVS (the Algorithm 5 counterpart for
@@ -49,8 +49,9 @@ func countICCFromCtx(ctx context.Context, ix *Index, p, stopBefore int, gamma in
 	return c, nil
 }
 
-// EnumState is the persistent cross-round state of progressive truss
-// enumeration, mirroring core.EnumState.
+// EnumState implements EnumICC and its progressive sibling, mirroring
+// core.EnumState: EnumICC uses a fresh state for one CVS, while Stream
+// shares one state across rounds so enumeration work is never repeated.
 type EnumState struct {
 	ix     *Index
 	vgroup []int32
@@ -76,10 +77,17 @@ func (s *EnumState) find(j int32) int32 {
 }
 
 // Process enumerates the communities of one round's CVS in decreasing
-// influence order, linking them to communities from earlier rounds.
-func (s *EnumState) Process(c *CVS) []*Community {
-	out := make([]*Community, 0, len(c.Keys))
-	for j := len(c.Keys) - 1; j >= 0; j-- {
+// influence order, restricted to the last k keynodes (all of them when
+// k < 0), linking them to communities from earlier rounds. Two truss
+// communities sharing a vertex are nested, so the EnumIC disjoint-set
+// construction carries over with vertex sharing as the linking relation.
+func (s *EnumState) Process(c *CVS, k int) []*Community {
+	start := 0
+	if k >= 0 && len(c.Keys) > k {
+		start = len(c.Keys) - k
+	}
+	out := make([]*Community, 0, len(c.Keys)-start)
+	for j := len(c.Keys) - 1; j >= start; j-- {
 		u := c.Keys[j]
 		gid := int32(len(s.comms))
 		s.parent = append(s.parent, gid)
@@ -120,49 +128,26 @@ func Stream(ix *Index, gamma int32, yield func(*Community) bool) (int, error) {
 }
 
 // StreamCtx is Stream under a context: cancellation is observed at round
-// boundaries and inside CountICC, stopping the search promptly.
+// boundaries and inside CountICC, stopping the search promptly. It runs
+// the rounds of core.Search with k = 1, each enumerating only the keynodes
+// new to its prefix; on error the returned prefix is the last completed
+// round's.
 func StreamCtx(ctx context.Context, ix *Index, gamma int32, yield func(*Community) bool) (int, error) {
-	if ix == nil || ix.g == nil {
-		return 0, errors.New("truss: nil index")
-	}
-	if gamma < 2 {
-		return 0, fmt.Errorf("truss: gamma must be >= 2, got %d", gamma)
-	}
-	if err := ctx.Err(); err != nil {
+	if err := validate(ix, 1, gamma); err != nil {
 		return 0, err
 	}
-	g := ix.g
-	n := g.NumVertices()
-	p := 1 + int(gamma)
-	if p > n {
-		p = n
-	}
-	prev := 0
-	st := NewEnumState(ix)
-	for {
+	enum := NewEnumState(ix)
+	st, err := core.Search(ctx, ix.g, 1, gamma, core.Options{}, func(p, prev int) (bool, error) {
 		cvs, err := countICCFromCtx(ctx, ix, p, prev, gamma)
 		if err != nil {
-			return p, err
+			return false, err
 		}
-		for _, c := range st.Process(cvs) {
+		for _, c := range enum.Process(cvs, -1) {
 			if !yield(c) {
-				return p, nil
+				return true, nil
 			}
 		}
-		if p == n {
-			return p, nil
-		}
-		if err := ctx.Err(); err != nil {
-			return p, err
-		}
-		prev = p
-		next := g.PrefixForSize(2 * g.PrefixSize(p))
-		if next <= p {
-			next = p + 1
-		}
-		if next > n {
-			next = n
-		}
-		p = next
-	}
+		return false, nil
+	})
+	return st.FinalPrefix, err
 }
