@@ -4,7 +4,7 @@
 //
 //	icserver -graph g.txt [-index g.icx] [-addr :8080] [-pagerank]
 //	         [-dataset name=path[,backend=semiext][,index=p.icx]
-//	                  [,prefix-cache=SIZE][,workers=N][,mutable=true]
+//	                  [,workers=N][,mutable=true]
 //	                  [,reindex=auto|off][,debounce=DUR][,repair-frac=F]]...
 //	         [-cache 256] [-maxk 10000] [-query-timeout 30s]
 //	         [-max-inflight 64] [-read-timeout 10s] [-write-timeout 60s]
@@ -15,7 +15,7 @@
 //	GET    /healthz
 //	GET    /v1/stats
 //	GET    /v1/datasets
-//	GET    /v1/topk?k=10&gamma=5[&noncontainment=1|&truss=1][&dataset=name]
+//	GET    /v1/topk?k=10&gamma=5[&mode=core|noncontainment|truss][&dataset=name]
 //	POST   /v1/query                 {"query": "DSL batch"[, "dataset": name]}
 //	POST   /v1/admin/datasets
 //	DELETE /v1/admin/datasets/{name}
@@ -26,12 +26,10 @@
 // (backend omitted) from a graph file, or semi-externally
 // (backend=semiext) from an edge file written by icindex -edges — the
 // graph then never fully loads; queries read exactly the weight-ranked
-// prefix they need through a shared memory-mapped view, and
-// prefix-cache=SIZE (e.g. 64M) budgets a shared decoded-prefix cache that
-// serves cache-fitting queries at in-memory speed. workers=N splits bulk
-// decodes of edge files in the compressed v2 layout across N goroutines
-// (byte-identical results). mutable=true
-// opens an edge file as a dynamic dataset:
+// prefix they need through a shared memory-mapped view. workers=N, on
+// semiext datasets only, splits bulk decodes of edge files in the
+// compressed v2 layout across N goroutines (byte-identical results).
+// mutable=true opens an edge file as a dynamic dataset:
 // POST /v1/admin/datasets/{name}/updates applies edge insertions and
 // deletions online (queries keep serving from immutable snapshots, never
 // pausing), every batch is fsynced to a write-ahead log beside the edge
@@ -45,10 +43,8 @@
 // repair-frac=F in (0, 1] overrides the synchronous-repair gate (default
 // 0.25: a delta touching at most a quarter of the weight ranking repairs
 // in place); without
-// reindex=auto, the first effective update drops the index for good. On
-// mutable datasets workers=N bounds the rebuild/repair parallelism
-// instead. Datasets can
-// also be loaded and unloaded at runtime
+// reindex=auto, the first effective update drops the index for good.
+// Datasets can also be loaded and unloaded at runtime
 // through the admin endpoints — protect those with -admin-token (or keep
 // the port private): they can unload live datasets and open server-side
 // files. Repeated identical queries are answered
@@ -89,55 +85,24 @@ import (
 
 // datasetSpec is one parsed -dataset flag.
 type datasetSpec struct {
-	name        string
-	path        string
-	backend     string
-	index       string
-	prefixCache int64
-	workers     int
-	mutable     bool
-	reindex     string
-	debounce    time.Duration
-	repairFrac  float64
-}
-
-// parseByteSize parses a byte count with an optional K/M/G suffix (base
-// 1024; a trailing "B" or "iB" is accepted, case-insensitively).
-func parseByteSize(s string) (int64, error) {
-	orig := s
-	u := strings.ToUpper(s)
-	mult := int64(1)
-	for _, suf := range []struct {
-		tail string
-		mul  int64
-	}{
-		{"KIB", 1 << 10}, {"MIB", 1 << 20}, {"GIB", 1 << 30},
-		{"KB", 1 << 10}, {"MB", 1 << 20}, {"GB", 1 << 30},
-		{"K", 1 << 10}, {"M", 1 << 20}, {"G", 1 << 30},
-	} {
-		if strings.HasSuffix(u, suf.tail) {
-			mult = suf.mul
-			s = s[:len(s)-len(suf.tail)]
-			break
-		}
-	}
-	n, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("bad byte size %q", orig)
-	}
-	if n > (1<<62)/mult {
-		return 0, fmt.Errorf("byte size %q overflows", orig)
-	}
-	return n * mult, nil
+	name       string
+	path       string
+	backend    string
+	index      string
+	workers    int
+	mutable    bool
+	reindex    string
+	debounce   time.Duration
+	repairFrac float64
 }
 
 // parseDatasetSpec parses
-// "name=path[,backend=semiext][,index=p.icx][,prefix-cache=SIZE][,workers=N][,mutable=true][,reindex=auto|off][,debounce=DUR][,repair-frac=F]".
+// "name=path[,backend=semiext][,index=p.icx][,workers=N][,mutable=true][,reindex=auto|off][,debounce=DUR][,repair-frac=F]".
 func parseDatasetSpec(spec string) (datasetSpec, error) {
 	var d datasetSpec
 	name, rest, ok := strings.Cut(spec, "=")
 	if !ok || name == "" || rest == "" {
-		return d, fmt.Errorf("bad -dataset %q: want name=path[,backend=semiext][,index=file][,prefix-cache=SIZE][,workers=N][,mutable=true][,reindex=auto|off][,debounce=DUR][,repair-frac=F]", spec)
+		return d, fmt.Errorf("bad -dataset %q: want name=path[,backend=semiext][,index=file][,workers=N][,mutable=true][,reindex=auto|off][,debounce=DUR][,repair-frac=F]", spec)
 	}
 	d.name = name
 	parts := strings.Split(rest, ",")
@@ -152,12 +117,6 @@ func parseDatasetSpec(spec string) (datasetSpec, error) {
 			d.backend = v
 		case "index":
 			d.index = v
-		case "prefix-cache":
-			n, err := parseByteSize(v)
-			if err != nil {
-				return d, fmt.Errorf("bad -dataset option prefix-cache in %q: %v", spec, err)
-			}
-			d.prefixCache = n
 		case "workers":
 			n, err := strconv.Atoi(v)
 			if err != nil || n < 0 {
@@ -198,6 +157,9 @@ func parseDatasetSpec(spec string) (datasetSpec, error) {
 	if d.mutable && d.backend != "" && d.backend != "mutable" {
 		return d, fmt.Errorf("-dataset %q: mutable=true conflicts with backend=%s", spec, d.backend)
 	}
+	if d.workers != 0 && d.backend != "semiext" {
+		return d, fmt.Errorf("-dataset %q: workers=N splits semi-external decodes and needs backend=semiext", spec)
+	}
 	if d.reindex == "auto" && !d.mutable && d.backend != "mutable" {
 		return d, fmt.Errorf("-dataset %q: reindex=auto needs mutable=true (index maintenance works on mutable datasets only)", spec)
 	}
@@ -230,7 +192,7 @@ func main() {
 	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	flag.StringVar(&cfg.pprofAddr, "pprof", "", "serve net/http/pprof on this separate address (empty = off; keep it private)")
 	flag.BoolVar(&cfg.usePagerank, "pagerank", false, "replace vertex weights with PageRank scores")
-	flag.Func("dataset", "additional dataset: name=path[,backend=semiext][,index=file][,prefix-cache=SIZE][,workers=N][,mutable=true][,reindex=auto|off][,debounce=DUR][,repair-frac=F] (repeatable)", func(spec string) error {
+	flag.Func("dataset", "additional dataset: name=path[,backend=semiext][,index=file][,workers=N][,mutable=true][,reindex=auto|off][,debounce=DUR][,repair-frac=F] (repeatable)", func(spec string) error {
 		d, err := parseDatasetSpec(spec)
 		if err != nil {
 			return err
@@ -317,9 +279,6 @@ func serve(ctx context.Context, cfg config, ready chan<- string) error {
 	}
 	for _, d := range cfg.datasets {
 		var sopts []influcomm.StoreOption
-		if d.prefixCache > 0 {
-			sopts = append(sopts, influcomm.WithPrefixCacheBytes(d.prefixCache))
-		}
 		if d.workers > 0 {
 			sopts = append(sopts, influcomm.WithQueryWorkers(d.workers))
 		}
@@ -332,15 +291,10 @@ func serve(ctx context.Context, cfg config, ready chan<- string) error {
 			return fmt.Errorf("dataset %s: %w", d.name, err)
 		}
 		cfgDS := server.DatasetConfig{Store: st, Reindex: d.reindex, ReindexDebounce: d.debounce, RepairFraction: d.repairFrac}
-		if backend == "mutable" {
-			// On the mutable backend workers=N routes to the maintenance
-			// pipeline (the store itself ignores it).
-			cfgDS.ReindexWorkers = d.workers
-		}
 		if d.index != "" {
 			dg := st.Graph()
 			if dg == nil {
-				return fmt.Errorf("dataset %s: an index needs the memory backend", d.name)
+				return fmt.Errorf("dataset %s: an index needs whole-graph access (the memory or mutable backend); the %s backend cannot carry one", d.name, st.Backend())
 			}
 			ix, err := influcomm.LoadIndex(d.index, dg)
 			if err != nil {

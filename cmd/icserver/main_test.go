@@ -151,13 +151,6 @@ func TestParseDatasetSpec(t *testing.T) {
 	if d.name != "wiki" || d.path != "/data/wiki.edges" || d.backend != "semiext" || d.index != "/data/wiki.icx" {
 		t.Errorf("parsed %+v", d)
 	}
-	d, err = parseDatasetSpec("big=/d/g.edges,backend=semiext,prefix-cache=64M")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.prefixCache != 64<<20 {
-		t.Errorf("parsed %+v", d)
-	}
 	d, err = parseDatasetSpec("dyn=/d/g.edges,mutable=true")
 	if err != nil {
 		t.Fatal(err)
@@ -200,41 +193,15 @@ func TestParseDatasetSpec(t *testing.T) {
 	if d.repairFrac != 1 {
 		t.Errorf("parsed %+v, want repairFrac=1", d)
 	}
-	for _, bad := range []string{"", "noequals", "name=", "n=p,bogus", "n=p,k=v", "n=p,prefix-cache=lots", "n=p,prefix-cache=-1",
+	for _, bad := range []string{"", "noequals", "name=", "n=p,bogus", "n=p,k=v",
 		"n=p,mutable=yes", "n=p,backend=semiext,mutable=true", "n=p,workers=-2", "n=p,workers=lots",
+		"n=p,workers=2", "n=p,mutable=true,workers=2", "n=p,backend=mutable,workers=2",
 		"n=p,reindex=always", "n=p,reindex=auto", "n=p,backend=semiext,reindex=auto",
 		"n=p,mutable=true,debounce=soon", "n=p,mutable=true,debounce=-1s",
 		"n=p,mutable=true,repair-frac=0", "n=p,mutable=true,repair-frac=1.5",
 		"n=p,mutable=true,repair-frac=-0.1", "n=p,mutable=true,repair-frac=some"} {
 		if _, err := parseDatasetSpec(bad); err == nil {
 			t.Errorf("%q: want parse error", bad)
-		}
-	}
-}
-
-func TestParseByteSize(t *testing.T) {
-	cases := map[string]int64{
-		"0":      0,
-		"123":    123,
-		"4K":     4 << 10,
-		"4k":     4 << 10,
-		"16KiB":  16 << 10,
-		"64M":    64 << 20,
-		"64MB":   64 << 20,
-		"2G":     2 << 30,
-		"2gib":   2 << 30,
-		" 8 M":   8 << 20,
-		"512KB ": 512 << 10,
-	}
-	for in, want := range cases {
-		got, err := parseByteSize(strings.TrimSpace(in))
-		if err != nil || got != want {
-			t.Errorf("parseByteSize(%q) = %d, %v; want %d", in, got, err, want)
-		}
-	}
-	for _, bad := range []string{"", "x", "-5", "1T", "9999999999999M"} {
-		if _, err := parseByteSize(bad); err == nil {
-			t.Errorf("parseByteSize(%q): want error", bad)
 		}
 	}
 }
@@ -426,6 +393,18 @@ func TestServeStaleIndexRejected(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "stale index") {
 		t.Errorf("error %q does not name the stale index", err)
+	}
+}
+
+// TestServeSemiExtIndexRejected: an index needs whole-graph access, so a
+// semiext dataset carrying one fails startup naming the backends that can.
+func TestServeSemiExtIndexRejected(t *testing.T) {
+	graphPath, edgePath := writeRankFixture(t)
+	cfg := testConfig(graphPath)
+	cfg.datasets = []datasetSpec{{name: "se", path: edgePath, backend: "semiext", index: "unused.icx"}}
+	err := serve(context.Background(), cfg, nil)
+	if err == nil || !strings.Contains(err.Error(), "whole-graph access (the memory or mutable backend); the semiext backend cannot carry one") {
+		t.Errorf("semiext+index: got %v", err)
 	}
 }
 

@@ -479,12 +479,10 @@ func Fig16(cfg Config) ([]*Figure, error) {
 	return out, nil
 }
 
-// SemiServe measures the serving tier's semi-external access paths against
-// the in-memory backend, varying k: the shared zero-copy view rebuilt per
-// query ("mmap") and the decoded-prefix cache with pooled engines
-// ("prefix-cache", 64 MiB budget, warmed by one query). mmap →
-// prefix-cache is what cross-query sharing buys, and the "memory" column
-// is the floor the cache approaches.
+// SemiServe measures the serving tier's semi-external access path against
+// the in-memory backend, varying k: the shared zero-copy view with each
+// query round decoding its prefix ("mmap"), and the "memory" column the
+// semi-external backend approaches.
 func SemiServe(cfg Config) ([]*Figure, error) {
 	var out []*Figure
 	ctx := context.Background()
@@ -502,37 +500,24 @@ func SemiServe(cfg Config) ([]*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
+		mm, err := store.OpenEdgeFile(path)
+		if err != nil {
+			return nil, err
+		}
 		backends := []struct {
 			label string
 			st    store.Store
-		}{{"memory", mem}}
-		for _, v := range []struct {
-			label string
-			opts  []store.OpenOption
-		}{
-			{"mmap", nil},
-			{"prefix-cache", []store.OpenOption{store.WithPrefixCacheBytes(64 << 20)}},
-		} {
-			st, err := store.OpenEdgeFile(path, v.opts...)
-			if err != nil {
-				return nil, err
-			}
-			backends = append(backends, struct {
-				label string
-				st    store.Store
-			}{v.label, st})
-		}
+		}{{"memory", mem}, {"mmap", mm}}
 		f := &Figure{
 			ID:     fmt.Sprintf("semiserve/%s/gamma%d", name, gamma),
-			Title:  fmt.Sprintf("Semi-external serving modes, γ=%d, vary k", gamma),
+			Title:  fmt.Sprintf("Semi-external serving, γ=%d, vary k", gamma),
 			XLabel: "k",
 		}
-		f.Notes = append(f.Notes, "prefix-cache budget 64 MiB, warmed by one query before timing")
 		for _, k := range workload.KGrid {
 			row := map[string]float64{}
 			for _, b := range backends {
 				st := b.st
-				if _, err := st.TopK(ctx, k, gamma, core.Options{}); err != nil { // warm caches/pools
+				if _, err := st.TopK(ctx, k, gamma, core.Options{}); err != nil { // warm pools
 					return nil, err
 				}
 				row[b.label] = bestOf(cfg.repeat(), func() {

@@ -4,9 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 )
@@ -103,51 +101,14 @@ func (h *handler) stats(w http.ResponseWriter, r *http.Request) {
 
 func (h *handler) topK(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	intOr := func(s string, def int) (int, error) {
-		if s == "" {
-			return def, nil
-		}
-		return strconv.Atoi(s)
-	}
-	k, err := intOr(q.Get("k"), 10)
+	p, err := ParseTopKParams(q, h.maxK)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad k: " + err.Error()})
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
-	}
-	gamma, err := intOr(q.Get("gamma"), 5)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad gamma: " + err.Error()})
-		return
-	}
-	if k < 1 || k > h.maxK {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("k must be in [1, %d]", h.maxK)})
-		return
-	}
-	if gamma < 1 {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "gamma must be >= 1"})
-		return
-	}
-	mode := q.Get("mode")
-	useTruss, nonContain := q.Get("truss") == "1", q.Get("noncontainment") == "1"
-	switch {
-	case mode != "":
-		if mode != ModeCore && mode != ModeNonContainment && mode != ModeTruss {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("unknown mode %q", mode)})
-			return
-		}
-	case useTruss && nonContain:
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "truss and noncontainment are mutually exclusive"})
-		return
-	case useTruss:
-		mode = ModeTruss
-	case nonContain:
-		mode = ModeNonContainment
-	default:
-		mode = ModeCore
 	}
 
 	start := time.Now()
-	res, err := h.c.TopK(r.Context(), q.Get("dataset"), k, int32(gamma), mode)
+	res, err := h.c.TopK(r.Context(), q.Get("dataset"), p.K, p.Gamma, p.Mode)
 	if err != nil {
 		status := http.StatusBadGateway
 		if errors.Is(err, context.DeadlineExceeded) {
@@ -157,9 +118,9 @@ func (h *handler) topK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, &topKResponse{
-		K:            k,
-		Gamma:        gamma,
-		Mode:         mode,
+		K:            p.K,
+		Gamma:        int(p.Gamma),
+		Mode:         p.Mode,
 		Communities:  res.Communities,
 		Epochs:       res.Epochs,
 		Partial:      res.Partial,

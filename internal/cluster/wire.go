@@ -19,6 +19,13 @@
 // contract is specified in docs/CLUSTER.md.
 package cluster
 
+import (
+	"errors"
+	"fmt"
+	"net/url"
+	"strconv"
+)
+
 // StreamHeader is the first line of a shard stream response. It arrives
 // before any community, so the coordinator can tag even an early-terminated
 // stream with the snapshot epoch the shard pinned for the whole query.
@@ -96,6 +103,62 @@ const (
 	// whole-graph backends for it.
 	ModeTruss = "truss"
 )
+
+// TopKParams is the shape of one top-k request: the result bound, γ, and
+// the semantics (ModeCore, ModeNonContainment, or ModeTruss).
+type TopKParams struct {
+	K     int
+	Gamma int32
+	Mode  string
+}
+
+// ParseTopKParams reads a top-k request's shape from URL query values; it
+// is the one parser behind icserver's /v1/topk and shard stream and
+// iccoord's /v1/topk. k defaults to 10 and must lie in [1, maxK], gamma
+// defaults to 5 and must be at least 1. mode=core|noncontainment|truss
+// names the semantics; without it the single-node flags truss=1 and
+// noncontainment=1 (mutually exclusive) select them, and mode= wins over
+// the flags. Every error is the client's.
+func ParseTopKParams(q url.Values, maxK int) (TopKParams, error) {
+	var p TopKParams
+	k, err := intParam(q.Get("k"), 10)
+	if err != nil {
+		return p, fmt.Errorf("bad k: %w", err)
+	}
+	gamma, err := intParam(q.Get("gamma"), 5)
+	if err != nil {
+		return p, fmt.Errorf("bad gamma: %w", err)
+	}
+	if k < 1 || k > maxK {
+		return p, fmt.Errorf("k must be in [1, %d]", maxK)
+	}
+	if gamma < 1 {
+		return p, errors.New("gamma must be >= 1")
+	}
+	p.K, p.Gamma, p.Mode = k, int32(gamma), q.Get("mode")
+	useTruss, nonContain := q.Get("truss") == "1", q.Get("noncontainment") == "1"
+	switch {
+	case p.Mode == ModeCore, p.Mode == ModeNonContainment, p.Mode == ModeTruss:
+	case p.Mode != "":
+		return p, fmt.Errorf("unknown mode %q", p.Mode)
+	case useTruss && nonContain:
+		return p, errors.New("truss and noncontainment are mutually exclusive")
+	case useTruss:
+		p.Mode = ModeTruss
+	case nonContain:
+		p.Mode = ModeNonContainment
+	default:
+		p.Mode = ModeCore
+	}
+	return p, nil
+}
+
+func intParam(raw string, def int) (int, error) {
+	if raw == "" {
+		return def, nil
+	}
+	return strconv.Atoi(raw)
+}
 
 // StreamPath is the shard-side streaming endpoint the coordinator calls:
 // GET {replica}StreamPath?gamma=G&limit=N[&dataset=D][&mode=M].

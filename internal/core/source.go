@@ -12,7 +12,7 @@ import (
 // capabilities: the prefix-size geometry (PrefixSizer, answerable from O(n)
 // per-vertex state) and the ability to materialize a prefix in memory. The
 // in-memory source is the graph itself at zero cost; a semi-external source
-// streams just enough of its on-disk edge file.
+// decodes just enough of its on-disk edge file.
 type SearchSource interface {
 	PrefixSizer
 
@@ -26,19 +26,6 @@ type SearchSource interface {
 	Materialize(p int) (*graph.Graph, error)
 }
 
-// PooledSource is an optional SearchSource extension: a source whose
-// Materialize hands out a long-lived shared graph (an in-memory graph, a
-// semi-external store's decoded prefix cache) also exposes the engine pool
-// bound to that graph, and TopKOver then checks engines, CVS buffers, and
-// enumeration state out of it instead of allocating O(p) scratch per query
-// — the difference between a serving hot path that allocates only its
-// Result and one that rebuilds four vertex-sized slices per request.
-type PooledSource interface {
-	// SourcePool returns the pool whose engines are bound to exactly g, or
-	// nil when g is query-private and must get a fresh engine.
-	SourcePool(g *graph.Graph) *Pool
-}
-
 // memSource adapts a fully in-memory graph to SearchSource.
 type memSource struct{ g *graph.Graph }
 
@@ -48,16 +35,16 @@ func (s memSource) PrefixForSize(want int64) int          { return s.g.PrefixFor
 func (s memSource) Materialize(int) (*graph.Graph, error) { return s.g, nil }
 
 // poolSource is a memSource whose graph carries an engine pool: Pool.TopK
-// runs TopKOver over it, so pooled queries check engines, CVS buffers and
-// enumeration state out of the pool. Like memSource it is pointer-shaped,
-// so passing it as a SearchSource does not allocate.
+// runs TopKOver over it, and TopKOver checks one engine, one CVS buffer
+// and the enumeration state out of the pool for the whole query. Like
+// memSource it is pointer-shaped, so passing it as a SearchSource does not
+// allocate.
 type poolSource struct{ p *Pool }
 
 func (s poolSource) NumVertices() int                      { return s.p.g.NumVertices() }
 func (s poolSource) PrefixSize(p int) int64                { return s.p.g.PrefixSize(p) }
 func (s poolSource) PrefixForSize(want int64) int          { return s.p.g.PrefixForSize(want) }
 func (s poolSource) Materialize(int) (*graph.Graph, error) { return s.p.g, nil }
-func (s poolSource) SourcePool(*graph.Graph) *Pool         { return s.p }
 
 // GraphSource returns the SearchSource view of an in-memory graph:
 // Materialize hands back g itself, so TopKOver over it is exactly TopKCtx.
@@ -74,26 +61,24 @@ func TopKOver(ctx context.Context, src SearchSource, k int, gamma int32, opts Op
 	if opts.NonContainment {
 		flags |= WantNC
 	}
-	ps, _ := src.(PooledSource)
 	var (
 		cnt int
 		cvs *CVS
 		g   *graph.Graph
 		eng *Engine
-		// pool, when non-nil, owns eng (invariant: eng came from pool.Get
-		// and goes back with pool.Put). scratchPool likewise owns scratch;
-		// the CVS buffer only depends on output size, so it is kept across
-		// graph changes and returned to the pool it came from.
-		pool        *Pool
-		scratch     *CVS
-		scratchPool *Pool
+		// pool, when non-nil, owns eng and scratch: a pooled source always
+		// materializes the pool's graph, so the engine and CVS buffer the
+		// first round checks out serve every round of the query.
+		pool    *Pool
+		scratch *CVS
 	)
+	if ps, ok := src.(poolSource); ok {
+		pool = ps.p
+	}
 	defer func() {
 		if pool != nil && eng != nil {
 			pool.Put(eng)
-		}
-		if scratchPool != nil && scratch != nil {
-			scratchPool.buffers.Put(scratch)
+			pool.buffers.Put(scratch)
 		}
 	}()
 	st, err := Search(ctx, src, k, gamma, opts, func(p, _ int) (bool, error) {
@@ -104,24 +89,12 @@ func TopKOver(ctx context.Context, src SearchSource, k int, gamma int32, opts Op
 		if mg.NumVertices() < p {
 			return false, fmt.Errorf("core: source materialized %d vertices, prefix needs %d", mg.NumVertices(), p)
 		}
-		// Engines are bound to one graph; reuse only while the source keeps
-		// returning the same one (the in-memory case, or a cached prefix
-		// large enough for every round of this query).
+		// Engines are bound to one graph: a round that materializes a new
+		// graph gets a fresh engine.
 		if eng == nil || mg != g {
-			if pool != nil {
-				pool.Put(eng)
-			}
 			g = mg
-			pool = nil
-			if ps != nil {
-				pool = ps.SourcePool(g)
-			}
 			if pool != nil {
-				eng = pool.Get(gamma)
-				if scratch == nil {
-					scratchPool = pool
-					scratch = pool.buffers.Get().(*CVS)
-				}
+				eng, scratch = pool.Get(gamma), pool.buffers.Get().(*CVS)
 			} else {
 				eng = NewEngine(g, gamma)
 			}

@@ -11,7 +11,7 @@
 //     moment it is published, so the query runs exactly as it would on a
 //     static in-memory store. The pinned pointer is the reference that
 //     keeps the snapshot alive (the garbage collector plays the role the
-//     semi-external prefix cache's explicit refcount plays for its mmap),
+//     semi-external store's explicit refcount plays for its mmap),
 //     so a snapshot is reclaimed only after the last query using it
 //     returns.
 //

@@ -27,16 +27,46 @@ type IOStats struct {
 	Communities int
 }
 
-// viewSource runs core.TopKOver over a View: the View answers the
+// Source adapts a View to core.SearchSource: the View answers the
 // prefix-size geometry from its resident up-degrees, and each round
-// decodes just the prefix [0, p) from the edge file.
-type viewSource struct {
+// decodes just the prefix [0, p) from the edge file. A Source keeps its
+// decode buffer and CSR scratch across rounds and queries, so it serves
+// one query at a time, and the graph Materialize returns is valid only
+// until the next Materialize or DropScratch.
+type Source struct {
 	*View
-	buf []int32
+	// Workers splits v2 bulk decodes as in AdjPrefix.
+	Workers int
+
+	buf []int32 // decode target when the adjacency cannot alias the mapping
+	csr graph.PrefixScratch
 }
 
-func (s *viewSource) Materialize(p int) (*graph.Graph, error) {
-	return s.PrefixGraph(p, 1, &s.buf, nil)
+// Materialize assembles the prefix graph [0, p) in the source's scratch:
+// AdjPrefix at the source's worker count, then the O(p+E) CSR assembly,
+// which rejects any out-of-range or non-ascending entry. The graph's
+// weights and up-degrees alias the View's vectors, so it must not be used
+// after Close.
+func (s *Source) Materialize(p int) (*graph.Graph, error) {
+	adj, err := s.AdjPrefix(p, s.edges(p), s.Workers, s.buf)
+	if err != nil {
+		return nil, err
+	}
+	if !s.ZeroCopy() {
+		s.buf = adj
+	}
+	return graph.FromUpAdjacency(s.weights[:p], s.upDeg[:p], adj, &s.csr)
+}
+
+// ScratchBytes is the memory the source's scratch keeps alive.
+func (s *Source) ScratchBytes() int64 {
+	return s.csr.Bytes() + 4*int64(cap(s.buf))
+}
+
+// DropScratch releases the source's scratch.
+func (s *Source) DropScratch() {
+	s.buf = nil
+	s.csr = graph.PrefixScratch{}
 }
 
 // LocalSearchSE answers a top-k influential γ-community query over the edge
@@ -57,7 +87,7 @@ func LocalSearchSE(path string, k int, gamma int32) ([]*core.Community, IOStats,
 	if v.NumVertices() == 0 {
 		return nil, st, fmt.Errorf("semiext: empty graph in %s", path)
 	}
-	res, err := core.TopKOver(context.Background(), &viewSource{View: v}, k, gamma, core.Options{})
+	res, err := core.TopKOver(context.Background(), &Source{View: v}, k, gamma, core.Options{})
 	if err != nil {
 		return nil, st, err
 	}

@@ -183,7 +183,7 @@ func TestEdgeFileProperty(t *testing.T) {
 			}
 		}
 		p := n / 2
-		prefix, err := v.PrefixGraph(p, 1, nil, nil)
+		prefix, err := (&Source{View: v, Workers: 1}).Materialize(p)
 		if err != nil {
 			t.Fatal(err)
 		}

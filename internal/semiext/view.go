@@ -482,28 +482,6 @@ func (v *View) AdjPrefix(p int, e int64, workers int, buf []int32) ([]int32, err
 	return buf, nil
 }
 
-// PrefixGraph assembles the in-memory prefix graph [0, p) from the edge
-// file: AdjPrefix at the given decode worker count, then the O(p+E) CSR
-// assembly, which rejects any out-of-range or non-ascending entry. A
-// non-nil buf is a reusable decode buffer, kept grown across calls when
-// the adjacency cannot alias the mapping; a non-nil sc is reusable CSR
-// scratch the graph is built into. The graph's weights and up-degrees
-// alias the View's vectors, so it must not be used after Close.
-func (v *View) PrefixGraph(p, workers int, buf *[]int32, sc *graph.PrefixScratch) (*graph.Graph, error) {
-	var b []int32
-	if buf != nil {
-		b = *buf
-	}
-	adj, err := v.AdjPrefix(p, v.edges(p), workers, b)
-	if err != nil {
-		return nil, err
-	}
-	if buf != nil && !v.ZeroCopy() {
-		*buf = adj
-	}
-	return graph.FromUpAdjacency(v.weights[:p], v.upDeg[:p], adj, sc)
-}
-
 // Graph loads the whole edge file into an in-memory graph that shares no
 // memory with the View, so it stays valid after Close: the whole-file load
 // behind mutable stores, format recoding and OnlineAllSE. workers splits a

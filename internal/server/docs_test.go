@@ -91,6 +91,14 @@ func TestDatasetFieldsDocumented(t *testing.T) {
 		docFields(t, operationsDoc, "server-datasets"))
 }
 
+// TestTopKEnvelopeDocumented pins the /v1/topk response envelope to the
+// OPERATIONS.md server-topk table.
+func TestTopKEnvelopeDocumented(t *testing.T) {
+	checkFieldDrift(t, "/v1/topk",
+		jsonFields(t, topKResponse{}),
+		docFields(t, operationsDoc, "server-topk"))
+}
+
 // TestQueryEnvelopeDocumented pins the /v1/query response envelope — the
 // top-level payload, the per-statement objects, and the per-node objects —
 // to the OPERATIONS.md server-query table.

@@ -25,42 +25,14 @@ import (
 // queryParams is the engine-boundary description of one query: what to
 // search for, independent of how the request arrived or where the answer
 // goes.
-type queryParams struct {
-	K     int
-	Gamma int32
-	Mode  string // cluster.ModeCore, ModeNonContainment, or ModeTruss
-}
+type queryParams = cluster.TopKParams
 
-// parseQueryParams extracts k/gamma/mode from URL query values, applying
-// the handler defaults (k=10, gamma=5, core semantics) and the server's k
-// bound.
+// parseQueryParams reads k/gamma/mode from URL query values with the one
+// parser every top-k route shares, under the server's k bound.
 func parseQueryParams(q url.Values, maxK int) (queryParams, error) {
-	var p queryParams
-	k, err := intParam(q.Get("k"), 10)
+	p, err := cluster.ParseTopKParams(q, maxK)
 	if err != nil {
-		return p, &httpError{http.StatusBadRequest, "bad k: " + err.Error()}
-	}
-	gamma, err := intParam(q.Get("gamma"), 5)
-	if err != nil {
-		return p, &httpError{http.StatusBadRequest, "bad gamma: " + err.Error()}
-	}
-	if k < 1 || k > maxK {
-		return p, &httpError{http.StatusBadRequest, fmt.Sprintf("k must be in [1, %d]", maxK)}
-	}
-	if gamma < 1 {
-		return p, &httpError{http.StatusBadRequest, "gamma must be >= 1"}
-	}
-	useTruss := q.Get("truss") == "1"
-	nonContain := q.Get("noncontainment") == "1"
-	if useTruss && nonContain {
-		return p, &httpError{http.StatusBadRequest, "truss and noncontainment are mutually exclusive"}
-	}
-	p.K, p.Gamma, p.Mode = k, int32(gamma), cluster.ModeCore
-	switch {
-	case useTruss:
-		p.Mode = cluster.ModeTruss
-	case nonContain:
-		p.Mode = cluster.ModeNonContainment
+		return p, &httpError{http.StatusBadRequest, err.Error()}
 	}
 	return p, nil
 }

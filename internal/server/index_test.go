@@ -11,11 +11,11 @@ import (
 	"influcomm/internal/index"
 )
 
-// normalizeTopK strips the per-request timing fields from a /v1/topk body
-// so index-served and LocalSearch-served responses can be compared byte
-// for byte: elapsed_ms is wall clock and accessed_vertices reports how
-// much of the graph the *online* search touched (the index touches only
-// its output, so it reports none).
+// normalizeTopK strips the per-request fields from a /v1/topk body so
+// index-served and LocalSearch-served responses can be compared byte for
+// byte: elapsed_ms is wall clock, path names the path that answered, and
+// accessed_vertices reports how much of the graph the *online* search
+// touched (the index touches only its output, so it reports none).
 func normalizeTopK(t *testing.T, body []byte) string {
 	t.Helper()
 	var m map[string]any
@@ -23,6 +23,7 @@ func normalizeTopK(t *testing.T, body []byte) string {
 		t.Fatalf("unmarshal %s: %v", body, err)
 	}
 	delete(m, "elapsed_ms")
+	delete(m, "path")
 	delete(m, "accessed_vertices")
 	out, err := json.Marshal(m)
 	if err != nil {
@@ -89,9 +90,11 @@ func TestIndexServedMatchesLocalSearch(t *testing.T) {
 	}
 }
 
-// TestStatsReportServingPath checks the per-path counters: default queries
-// hit the index, non-containment and truss queries fall back to online
-// search, and an index-less server reports index_loaded=false.
+// TestStatsReportServingPath checks the per-path counters and the path
+// each /v1/topk response names: default queries hit the index,
+// non-containment and truss queries fall back to online search, a cache
+// hit reports the path of the execution that filled the entry, and an
+// index-less server reports index_loaded=false.
 func TestStatsReportServingPath(t *testing.T) {
 	g := testGraph(t)
 	ix, err := index.Build(g)
@@ -105,14 +108,22 @@ func TestStatsReportServingPath(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	for _, q := range []string{
-		"/v1/topk?k=2&gamma=3",
-		"/v1/topk?k=1&gamma=2",
-		"/v1/topk?k=2&gamma=3&noncontainment=1",
-		"/v1/topk?k=2&gamma=3&truss=1",
+	for _, tc := range []struct {
+		q, path string
+		cached  bool
+	}{
+		{"/v1/topk?k=2&gamma=3", "index", false},
+		{"/v1/topk?k=1&gamma=2", "index", false},
+		{"/v1/topk?k=2&gamma=3&noncontainment=1", "localsearch", false},
+		{"/v1/topk?k=2&gamma=3&truss=1", "truss", false},
+		{"/v1/topk?k=2&gamma=3&mode=noncontainment", "localsearch", true},
 	} {
-		if code, body := fetch(t, ts.URL+q); code != http.StatusOK {
-			t.Fatalf("%s: status %d (%s)", q, code, body)
+		var got topKResponse
+		if code := getJSON(t, ts.URL+tc.q, &got); code != http.StatusOK {
+			t.Fatalf("%s: status %d", tc.q, code)
+		}
+		if got.Path != tc.path || got.Cached != tc.cached {
+			t.Errorf("%s: path=%q cached=%v, want %q/%v", tc.q, got.Path, got.Cached, tc.path, tc.cached)
 		}
 	}
 	var st statsResponse

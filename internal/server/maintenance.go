@@ -53,9 +53,6 @@ type attachedIndex struct {
 
 // maintainerConfig tunes one dataset's maintenance pipeline.
 type maintainerConfig struct {
-	// workers bounds build/repair parallelism (index.BuildContext
-	// semantics; 0 = GOMAXPROCS with the small-work sequential escape).
-	workers int
 	// debounce is how long the rebuild worker waits after a kick before
 	// building, so a burst of updates costs one rebuild, not one each.
 	debounce time.Duration
@@ -181,7 +178,7 @@ func (m *maintainer) onUpdate(ev store.UpdateEvent) {
 			// build can attach under its own older epoch tag); minCut
 			// accumulates across exactly those epochs, so the repair below
 			// is valid from whatever epoch the attached index describes.
-			nix, err := at.ix.ApplyDeltaContext(m.ctx, g, m.minCut, m.cfg.workers)
+			nix, err := at.ix.ApplyDeltaContext(m.ctx, g, m.minCut, 0)
 			if err == nil {
 				m.ds.attached.Store(&attachedIndex{ix: nix, epoch: epoch})
 				m.minCut = n
@@ -251,7 +248,8 @@ func (m *maintainer) run() {
 			if f := m.testBuildStarted.Load(); f != nil {
 				(*f)(epoch)
 			}
-			ix, err := index.BuildContext(m.ctx, g, m.cfg.workers)
+			// 0 workers: BuildContext sizes the pool itself.
+			ix, err := index.BuildContext(m.ctx, g, 0)
 			if err != nil {
 				return // only a cancelled context fails a build: shutdown
 			}

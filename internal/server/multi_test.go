@@ -287,8 +287,9 @@ func TestUnknownDataset404s(t *testing.T) {
 }
 
 // TestAdminLoadUnload drives the admin endpoints end to end: load a
-// memory dataset, a semiext dataset, and an indexed dataset from disk;
-// list them; query them; unload them; confirm 404 after.
+// memory dataset, a semiext dataset, and indexed memory and mutable
+// datasets from disk; list them; query them; unload them; confirm 404
+// after. Options on a backend they do not apply to are 400s.
 func TestAdminLoadUnload(t *testing.T) {
 	g := rankGraph(t)
 	dir := t.TempDir()
@@ -347,6 +348,9 @@ func TestAdminLoadUnload(t *testing.T) {
 	if code, body := post(fmt.Sprintf(`{"name":"disk-ix","path":%q,"index":%q}`, graphPath, ixPath)); code != http.StatusCreated {
 		t.Fatalf("load indexed dataset: status %d (%s)", code, body)
 	}
+	if code, body := post(fmt.Sprintf(`{"name":"disk-dyn","path":%q,"mutable":true,"index":%q}`, edgePath, ixPath)); code != http.StatusCreated {
+		t.Fatalf("load indexed mutable dataset: status %d (%s)", code, body)
+	}
 	// Duplicate name conflicts.
 	if code, _ := post(fmt.Sprintf(`{"name":"disk-mem","path":%q}`, graphPath)); code != http.StatusConflict {
 		t.Fatalf("duplicate load: status %d, want 409", code)
@@ -358,9 +362,16 @@ func TestAdminLoadUnload(t *testing.T) {
 	if code, _ := post(`{"name":"x","path":"/does/not/exist"}`); code != http.StatusBadRequest {
 		t.Fatalf("bad path: status %d", code)
 	}
-	// Index on a semiext backend is rejected.
-	if code, _ := post(fmt.Sprintf(`{"name":"x","path":%q,"backend":"semiext","index":"whatever"}`, edgePath)); code != http.StatusBadRequest {
-		t.Fatalf("index on semiext: status %d", code)
+	// Index on a semiext backend is rejected, naming the backends that
+	// can carry one; workers splits semi-external decodes only.
+	if code, body := post(fmt.Sprintf(`{"name":"x","path":%q,"backend":"semiext","index":"whatever"}`, edgePath)); code != http.StatusBadRequest ||
+		!bytes.Contains(body, []byte("whole-graph access (the memory or mutable backend); the semiext backend cannot carry one")) {
+		t.Fatalf("index on semiext: status %d (%s)", code, body)
+	}
+	for _, body := range []string{`{"name":"x","path":%q,"mutable":true,"workers":2}`, `{"name":"x","path":%q,"workers":2}`} {
+		if code, resp := post(fmt.Sprintf(body, edgePath)); code != http.StatusBadRequest || !bytes.Contains(resp, []byte("only the semiext backend")) {
+			t.Fatalf("%s: status %d (%s)", body, code, resp)
+		}
 	}
 
 	var list struct {
@@ -369,20 +380,22 @@ func TestAdminLoadUnload(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/v1/datasets", &list); code != http.StatusOK {
 		t.Fatalf("list status %d", code)
 	}
-	if len(list.Datasets) != 4 {
-		t.Fatalf("listed %d datasets, want 4", len(list.Datasets))
+	if len(list.Datasets) != 5 {
+		t.Fatalf("listed %d datasets, want 5", len(list.Datasets))
 	}
 
 	// All loaded datasets answer, identically to the default (same graph
-	// content) — including the indexed one, whose answers come from the
+	// content) — including the indexed ones, whose answers come from the
 	// loaded index file. The index path reports no accessed_vertices (it
-	// touches only its output), so that field is normalized away here.
+	// touches only its output) and names itself in path, so both fields
+	// are normalized away here.
 	stripAccessed := func(body []byte) string {
 		var m map[string]any
 		if err := json.Unmarshal([]byte(normalizeBody(t, body)), &m); err != nil {
 			t.Fatal(err)
 		}
 		delete(m, "accessed_vertices")
+		delete(m, "path")
 		out, err := json.Marshal(m)
 		if err != nil {
 			t.Fatal(err)
@@ -391,7 +404,7 @@ func TestAdminLoadUnload(t *testing.T) {
 	}
 	_, refBody := fetch(t, ts.URL+"/v1/topk?k=2&gamma=3")
 	ref := stripAccessed(refBody)
-	for _, name := range []string{"disk-mem", "disk-se", "disk-ix"} {
+	for _, name := range []string{"disk-mem", "disk-se", "disk-ix", "disk-dyn"} {
 		code, body := fetch(t, ts.URL+"/v1/topk?k=2&gamma=3&dataset="+name)
 		if code != http.StatusOK {
 			t.Fatalf("query %s: status %d (%s)", name, code, body)
@@ -401,11 +414,11 @@ func TestAdminLoadUnload(t *testing.T) {
 		}
 	}
 
-	// The indexed dataset served its query from the index.
+	// The indexed datasets served their queries from the index.
 	for _, d := range s.Datasets() {
-		if d.Name == "disk-ix" {
+		if d.Name == "disk-ix" || d.Name == "disk-dyn" {
 			if !d.IndexLoaded || d.IndexQueries != 1 {
-				t.Errorf("disk-ix: index_loaded=%v index_queries=%d, want true/1", d.IndexLoaded, d.IndexQueries)
+				t.Errorf("%s: index_loaded=%v index_queries=%d, want true/1", d.Name, d.IndexLoaded, d.IndexQueries)
 			}
 		}
 	}
@@ -558,11 +571,11 @@ func TestLoadUnloadUnderTraffic(t *testing.T) {
 	}
 }
 
-// TestAdminLoadPrefixCache loads a semi-external dataset with a decoded-
-// prefix cache budget through the admin endpoint: the dataset must report
-// its access mode, grow the cache once queried, and answer identically to
-// the in-memory default.
-func TestAdminLoadPrefixCache(t *testing.T) {
+// TestAdminLoadSemiExt loads a semi-external dataset through the admin
+// endpoint: the dataset must report its access mode and answer
+// identically to the in-memory default, and unknown or removed options —
+// the decoded-prefix cache's old budget field among them — are 400s.
+func TestAdminLoadSemiExt(t *testing.T) {
 	g := rankGraph(t)
 	edgePath := filepath.Join(t.TempDir(), "g.edges")
 	if err := semiext.WriteEdgeFile(edgePath, g); err != nil {
@@ -575,7 +588,7 @@ func TestAdminLoadPrefixCache(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	body := fmt.Sprintf(`{"name":"cached","path":%q,"backend":"semiext","prefix_cache_bytes":%d}`, edgePath, 1<<20)
+	body := fmt.Sprintf(`{"name":"se","path":%q,"backend":"semiext"}`, edgePath)
 	resp, err := http.Post(ts.URL+"/v1/admin/datasets", "application/json", bytes.NewBufferString(body))
 	if err != nil {
 		t.Fatal(err)
@@ -593,17 +606,12 @@ func TestAdminLoadPrefixCache(t *testing.T) {
 	}
 
 	_, refBody := fetch(t, ts.URL+"/v1/topk?k=2&gamma=3")
-	code, seBody := fetch(t, ts.URL+"/v1/topk?k=2&gamma=3&dataset=cached")
+	code, seBody := fetch(t, ts.URL+"/v1/topk?k=2&gamma=3&dataset=se")
 	if code != http.StatusOK {
 		t.Fatalf("query: status %d (%s)", code, seBody)
 	}
 	if normalizeBody(t, refBody) != normalizeBody(t, seBody) {
-		t.Errorf("cached semiext dataset diverges from in-memory default")
-	}
-	for _, d := range s.Datasets() {
-		if d.Name == "cached" && d.CachedPrefix == 0 {
-			t.Error("cached_prefix still 0 after a query; cache never grew")
-		}
+		t.Errorf("semiext dataset diverges from in-memory default")
 	}
 
 	// A bad mode in the admin request is a 400, not a crash.
@@ -617,19 +625,22 @@ func TestAdminLoadPrefixCache(t *testing.T) {
 		t.Fatalf("bad mode: status %d, want 400", resp.StatusCode)
 	}
 
-	// A misspelt option is a 400 too, not a dataset loaded with defaults.
-	resp, err = http.Post(ts.URL+"/v1/admin/datasets", "application/json",
-		bytes.NewBufferString(fmt.Sprintf(`{"name":"typo","path":%q,"backend":"semiext","prefix_cache":1024}`, edgePath)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("misspelt field: status %d, want 400", resp.StatusCode)
+	// A misspelt option is a 400 too, not a dataset loaded with defaults,
+	// and so is the removed decoded-prefix cache budget.
+	for name, field := range map[string]string{"typo": `"worker":2`, "removed": `"prefix_cache_bytes":1024`} {
+		resp, err = http.Post(ts.URL+"/v1/admin/datasets", "application/json",
+			bytes.NewBufferString(fmt.Sprintf(`{"name":%q,"path":%q,"backend":"semiext",%s}`, name, edgePath, field)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", field, resp.StatusCode)
+		}
 	}
 	for _, d := range s.Datasets() {
-		if d.Name == "typo" {
-			t.Fatal("a load with a misspelt field registered the dataset")
+		if d.Name == "typo" || d.Name == "removed" {
+			t.Fatalf("a load with a bad field registered dataset %s", d.Name)
 		}
 	}
 }

@@ -208,13 +208,10 @@ type DatasetInfo struct {
 	Format string `json:"format,omitempty"`
 	// Workers is the v2 decode split the dataset was loaded with; 0 or 1
 	// means sequential decodes.
-	Workers int `json:"workers,omitempty"`
-	// CachedPrefix is the vertex count the semi-external decoded-prefix
-	// cache currently covers; 0 when disabled or for in-memory backends.
-	CachedPrefix int   `json:"cached_prefix,omitempty"`
-	Vertices     int   `json:"vertices"`
-	Edges        int64 `json:"edges"`
-	IndexLoaded  bool  `json:"index_loaded"`
+	Workers     int   `json:"workers,omitempty"`
+	Vertices    int   `json:"vertices"`
+	Edges       int64 `json:"edges"`
+	IndexLoaded bool  `json:"index_loaded"`
 	// Ready distinguishes "up" from "warming": false while index
 	// maintenance is rebuilding (queries fall back to LocalSearch
 	// meanwhile), so cluster health probes can deprioritize the replica
@@ -259,7 +256,6 @@ func (d *dataset) info() DatasetInfo {
 		info.Mode = se.Mode()
 		info.Format = fmt.Sprintf("v%d", se.Format())
 		info.Workers = se.Workers()
-		info.CachedPrefix = se.CachedPrefix()
 	}
 	if ms := store.AsMutable(d.st); ms != nil {
 		info.Mutable = true
@@ -307,10 +303,6 @@ type DatasetConfig struct {
 	// registration error; the inherited default silently skips ineligible
 	// datasets.
 	Reindex string
-	// ReindexWorkers bounds the maintenance build/repair parallelism
-	// (index.BuildContext semantics; 0 = GOMAXPROCS with the small-work
-	// sequential escape).
-	ReindexWorkers int
 	// ReindexDebounce is how long the background worker waits after an
 	// invalidating update before rebuilding, so an update burst costs one
 	// rebuild; 0 uses the 100ms default.
@@ -321,6 +313,11 @@ type DatasetConfig struct {
 	// deltas go to the background rebuild. 0 keeps the 0.25 default;
 	// anything else outside (0, 1] is a registration error.
 	RepairFraction float64
+}
+
+// indexBackendError explains why st cannot carry a prebuilt index.
+func indexBackendError(st store.Store) string {
+	return fmt.Sprintf("an index needs whole-graph access (the memory or mutable backend); the %s backend cannot carry one", st.Backend())
 }
 
 // errAlreadyLoaded distinguishes a name conflict (409) from other
@@ -358,7 +355,7 @@ func (s *Server) addDataset(name string, cfg DatasetConfig) (*dataset, error) {
 	if cfg.Index != nil {
 		g := st.Graph()
 		if g == nil {
-			return nil, fmt.Errorf("server: dataset %q: an index needs whole-graph access, the %s backend cannot carry one", name, st.Backend())
+			return nil, fmt.Errorf("server: dataset %q: %s", name, indexBackendError(st))
 		}
 		if cfg.Index.Graph() != g {
 			return nil, fmt.Errorf("server: dataset %q: index is bound to a different graph than the one being served (%d vs %d vertices); rebuild or reload it against this graph",
@@ -394,7 +391,6 @@ func (s *Server) addDataset(name string, cfg DatasetConfig) (*dataset, error) {
 	}
 	if reindex {
 		ds.maint = newMaintainer(ds, ms, maintainerConfig{
-			workers:        cfg.ReindexWorkers,
 			debounce:       cfg.ReindexDebounce,
 			repairFraction: cfg.RepairFraction,
 		})
@@ -491,15 +487,12 @@ type loadRequest struct {
 	// Mutable opens the path (an edge file) as a durable mutable dataset;
 	// shorthand for Backend "mutable".
 	Mutable bool `json:"mutable,omitempty"`
-	// Index optionally loads a prebuilt index file (memory backend only).
+	// Index optionally loads a prebuilt index file; it needs whole-graph
+	// access, so only the memory and mutable backends carry one.
 	Index string `json:"index,omitempty"`
-	// PrefixCacheBytes budgets the semi-external decoded-prefix cache
-	// (see store.WithPrefixCacheBytes); 0 disables it.
-	PrefixCacheBytes int64 `json:"prefix_cache_bytes,omitempty"`
 	// Workers splits the semi-external backend's v2 prefix decodes across
-	// up to this many goroutines (see store.WithWorkers). On the mutable
-	// backend it instead bounds the index-maintenance build/repair
-	// parallelism (0 = GOMAXPROCS). 0 or 1 decodes sequentially.
+	// up to this many goroutines (see store.WithWorkers); 0 or 1 decodes
+	// sequentially. Other backends refuse it.
 	Workers int `json:"workers,omitempty"`
 	// Reindex selects index maintenance for mutable datasets: "auto"
 	// keeps the index current across updates, "off" drops it on the first
@@ -545,13 +538,6 @@ func (s *Server) handleLoadDataset(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "name and path are required"})
 		return
 	}
-	var opts []store.OpenOption
-	if req.PrefixCacheBytes != 0 {
-		opts = append(opts, store.WithPrefixCacheBytes(req.PrefixCacheBytes))
-	}
-	if req.Workers != 0 {
-		opts = append(opts, store.WithWorkers(req.Workers))
-	}
 	backend := req.Backend
 	if req.Mutable {
 		if backend != "" && backend != "mutable" {
@@ -559,6 +545,14 @@ func (s *Server) handleLoadDataset(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		backend = "mutable"
+	}
+	var opts []store.OpenOption
+	if req.Workers != 0 {
+		if backend != "semiext" {
+			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "workers splits semi-external decodes; only the semiext backend takes it"})
+			return
+		}
+		opts = append(opts, store.WithWorkers(req.Workers))
 	}
 	var debounce time.Duration
 	if req.ReindexDebounce != "" {
@@ -574,14 +568,11 @@ func (s *Server) handleLoadDataset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cfg := DatasetConfig{Store: st, Reindex: req.Reindex, ReindexDebounce: debounce, RepairFraction: req.RepairFrac}
-	if backend == "mutable" {
-		cfg.ReindexWorkers = req.Workers
-	}
 	if req.Index != "" {
 		g := st.Graph()
 		if g == nil {
 			st.Close()
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "an index needs the memory backend"})
+			writeJSON(w, http.StatusBadRequest, map[string]string{"error": indexBackendError(st)})
 			return
 		}
 		ix, err := index.Load(req.Index, g)

@@ -4,7 +4,7 @@
 // A server holds a registry of named datasets. Each dataset is one graph
 // behind a pluggable Store backend — fully in-memory with pooled engines,
 // or semi-external with on-disk edge files and only per-vertex state in
-// RAM — plus an optional prebuilt index (in-memory backends only) that
+// RAM — plus an optional prebuilt index (whole-graph backends only) that
 // answers default-semantics queries in output-proportional time. Queries
 // run concurrently, each request under its own context with a per-request
 // deadline; a bounded LRU cache short-circuits repeated identical queries
@@ -20,8 +20,10 @@
 //	GET    /v1/datasets                    list loaded datasets
 //	GET    /v1/topk?k=10&gamma=5           top-k influential γ-communities
 //	GET    /v1/topk?...&dataset=name       ... against a named dataset
-//	GET    /v1/topk?...&noncontainment=1   non-containment variant (§5.1)
-//	GET    /v1/topk?...&truss=1            γ-truss variant (§5.2, in-memory datasets)
+//	GET    /v1/topk?...&mode=noncontainment  non-containment variant (§5.1);
+//	                                       also spelt &noncontainment=1
+//	GET    /v1/topk?...&mode=truss         γ-truss variant (§5.2, in-memory
+//	                                       datasets); also spelt &truss=1
 //	POST   /v1/query                       composable DSL batch: {"query": "...",
 //	                                       "dataset": "name"}; plan nodes shared
 //	                                       across concurrent batches (CSE)
@@ -45,7 +47,6 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -382,9 +383,12 @@ type communityJSON = cluster.Community
 
 // topKResponse is the /v1/topk payload.
 type topKResponse struct {
-	K           int             `json:"k"`
-	Gamma       int             `json:"gamma"`
-	Mode        string          `json:"mode"`
+	K     int    `json:"k"`
+	Gamma int    `json:"gamma"`
+	Mode  string `json:"mode"`
+	// Path is the access path that answered: query.PathIndex, PathLocal
+	// or PathTruss. A cache hit reports the execution that filled it.
+	Path        string          `json:"path"`
 	Communities []communityJSON `json:"communities"`
 	ElapsedMS   float64         `json:"elapsed_ms"`
 	// AccessedVertices reports how much of the graph the local search
@@ -497,7 +501,7 @@ func (s *Server) topK(ctx context.Context, r *http.Request) (*topKResponse, erro
 		return nil, err
 	}
 	resp := &topKResponse{
-		K: p.K, Gamma: int(p.Gamma), Mode: p.Mode,
+		K: p.K, Gamma: int(p.Gamma), Mode: p.Mode, Path: er.Path,
 		Communities:      er.Communities,
 		AccessedVertices: er.Accessed,
 		ElapsedMS:        float64(time.Since(start)) / float64(time.Millisecond),
@@ -533,13 +537,6 @@ func (s *Server) Datasets() []DatasetInfo {
 
 func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"datasets": s.Datasets()})
-}
-
-func intParam(raw string, def int) (int, error) {
-	if raw == "" {
-		return def, nil
-	}
-	return strconv.Atoi(raw)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

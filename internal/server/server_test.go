@@ -117,6 +117,36 @@ func TestTopKModes(t *testing.T) {
 	}
 }
 
+// TestTopKModeParam checks that mode= names the semantics on /v1/topk
+// exactly like the single-node flags, wins over them, and that an unknown
+// mode is a 400.
+func TestTopKModeParam(t *testing.T) {
+	s, err := New(rankGraph(t), WithResultCache(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	for _, tc := range []struct{ mode, flags string }{
+		{"mode=truss", "truss=1"},
+		{"mode=noncontainment", "noncontainment=1"},
+		{"mode=core&truss=1", ""},
+		{"mode=truss&noncontainment=1", "truss=1"},
+	} {
+		code, byMode := fetch(t, ts.URL+"/v1/topk?k=2&gamma=3&"+tc.mode)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d (%s)", tc.mode, code, byMode)
+		}
+		_, byFlags := fetch(t, ts.URL+"/v1/topk?k=2&gamma=3&"+tc.flags)
+		if got, want := normalizeBody(t, byMode), normalizeBody(t, byFlags); got != want {
+			t.Errorf("%s differs from %s\n got %s\nwant %s", tc.mode, tc.flags, got, want)
+		}
+	}
+	if code, body := fetch(t, ts.URL+"/v1/topk?k=2&gamma=3&mode=bogus"); code != http.StatusBadRequest {
+		t.Errorf("mode=bogus: status %d (%s), want 400", code, body)
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	ts := newTestServer(t, WithMaxK(50))
 	cases := []string{

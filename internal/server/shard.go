@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"influcomm/internal/cluster"
@@ -56,26 +57,12 @@ func (s *Server) handleShardStream(w http.ResponseWriter, r *http.Request) {
 
 	q := r.URL.Query()
 	p, err := parseQueryParams(q, s.maxK)
-	if err == nil {
-		// Coordinators name the semantics directly; mode= wins over the
-		// single-node truss=1/noncontainment=1 flags.
-		switch m := q.Get("mode"); m {
-		case "", cluster.ModeCore:
-			if m != "" {
-				p.Mode = cluster.ModeCore
-			}
-		case cluster.ModeNonContainment, cluster.ModeTruss:
-			p.Mode = m
-		default:
-			err = &httpError{http.StatusBadRequest, fmt.Sprintf("unknown mode %q", m)}
-		}
-	}
 	if err == nil && q.Get("limit") == "" {
 		err = &httpError{http.StatusBadRequest, "limit is required"}
 	}
 	var limit int
 	if err == nil {
-		limit, err = intParam(q.Get("limit"), 0)
+		limit, err = strconv.Atoi(q.Get("limit"))
 		if err != nil {
 			err = &httpError{http.StatusBadRequest, "bad limit: " + err.Error()}
 		} else if limit < 1 || limit > s.maxK {

@@ -2,7 +2,7 @@
 // query interface. Two backends implement it: Mem serves a fully in-memory
 // graph.Graph through a pooled engine, and SemiExt serves the semi-external
 // on-disk edge files of internal/semiext, keeping only O(n) per-vertex
-// state resident and streaming edge prefixes on demand. A query routed
+// state resident and decoding edge prefixes on demand. A query routed
 // through a Store therefore runs identically — same communities, same
 // access statistics — whether the graph fits in RAM or not; the serving
 // layer picks backends per dataset without touching query code.
@@ -48,8 +48,8 @@ type Store interface {
 // "semiext" opens a semi-external edge file (see WriteEdgeFile) loading
 // only per-vertex state, and "mutable" opens an edge file as a durable
 // MutableStore that accepts online edge updates. Options tune the
-// semi-external backend (access mode, decoded-prefix cache budget) and are
-// ignored by the others.
+// semi-external backend (the v2 decode split) and are ignored by the
+// others.
 func Open(path, backend string, opts ...OpenOption) (Store, error) {
 	switch backend {
 	case "", "memory":

@@ -38,17 +38,11 @@ func renderResult(res *core.Result) string {
 }
 
 // semiExtVariants is every semi-external serving configuration the
-// equivalence tests must hold for: the zero-copy view without caching,
-// and decoded-prefix caches from "too small to matter" through "covers
-// the whole graph".
+// equivalence tests must hold for: sequential and split v2 decodes.
 func semiExtVariants() map[string][]OpenOption {
 	return map[string][]OpenOption{
-		"auto":        nil,
-		"cache-tiny":  {WithPrefixCacheBytes(1 << 10)},
-		"cache-huge":  {WithPrefixCacheBytes(1 << 30)},
-		"cache-small": {WithPrefixCacheBytes(16 << 10)},
-		"workers":     {WithWorkers(4)},
-		"workers-all": {WithWorkers(4), WithPrefixCacheBytes(1 << 30)},
+		"auto":    nil,
+		"workers": {WithWorkers(4)},
 	}
 }
 
@@ -128,7 +122,7 @@ func TestBackendsAgree(t *testing.T) {
 
 // TestParallelServeAgrees is the large-graph half of the backend contract:
 // on a graph big enough to engage the chunked v2 decode, every (format,
-// workers, cache) combination must still be byte-identical to the
+// workers) combination must still be byte-identical to the
 // in-memory backend. Run under -race -cpu 1,4,8 this is the end-to-end
 // determinism proof for the decode split.
 func TestParallelServeAgrees(t *testing.T) {
@@ -156,10 +150,9 @@ func TestParallelServeAgrees(t *testing.T) {
 	for _, format := range []int{semiext.FormatV1, semiext.FormatV2} {
 		path := writeEdgeFileFormat(t, g, format)
 		variants := map[string][]OpenOption{
-			"seq":            nil,
-			"workers2":       {WithWorkers(2)},
-			"workers8":       {WithWorkers(8)},
-			"workers8-cache": {WithWorkers(8), WithPrefixCacheBytes(1 << 30)},
+			"seq":      nil,
+			"workers2": {WithWorkers(2)},
+			"workers8": {WithWorkers(8)},
 		}
 		for name, opts := range variants {
 			se, err := OpenEdgeFile(path, opts...)
@@ -167,8 +160,7 @@ func TestParallelServeAgrees(t *testing.T) {
 				t.Fatalf("v%d/%s: %v", format, name, err)
 			}
 			for i, tc := range cases {
-				// Twice per case: the second run hits the warmed cache and
-				// pooled scratch.
+				// Twice per case: the second run reuses pooled scratch.
 				for run := 0; run < 2; run++ {
 					res, err := se.TopK(ctx, tc.k, tc.gamma, core.Options{})
 					if err != nil {
@@ -185,81 +177,13 @@ func TestParallelServeAgrees(t *testing.T) {
 	}
 }
 
-// TestPrefixCacheBudget drives the cache-budget edge cases: budget 0 never
-// caches, a tiny budget never exceeds its frontier, and a budget larger
-// than the decoded file grows to the whole graph — all while answers stay
-// byte-identical to core.
-func TestPrefixCacheBudget(t *testing.T) {
-	g := gen.Random(300, 6, 17)
-	path := writeEdgeFile(t, g)
-	ctx := context.Background()
-	want, err := core.TopK(g, 20, 2, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := renderResult(want)
-
-	run := func(se *SemiExt) {
-		t.Helper()
-		res, err := se.TopK(ctx, 20, 2, core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := renderResult(res); got != ref {
-			t.Fatalf("result differs from core\n got %s\nwant %s", got, ref)
-		}
-	}
-
-	off, err := OpenEdgeFile(path) // default: no cache
-	if err != nil {
-		t.Fatal(err)
-	}
-	run(off)
-	if p := off.CachedPrefix(); p != 0 {
-		t.Errorf("budget 0: cache covers %d vertices, want 0", p)
-	}
-
-	tiny, err := OpenEdgeFile(path, WithPrefixCacheBytes(2<<10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	run(tiny)
-	if tiny.maxCacheP >= g.NumVertices() {
-		t.Fatalf("tiny budget admits the whole graph (maxCacheP=%d)", tiny.maxCacheP)
-	}
-	if p := tiny.CachedPrefix(); p > tiny.maxCacheP {
-		t.Errorf("cache covers %d vertices, budget frontier is %d", p, tiny.maxCacheP)
-	}
-
-	huge, err := OpenEdgeFile(path, WithPrefixCacheBytes(1<<30))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if huge.maxCacheP != g.NumVertices() {
-		t.Errorf("huge budget: maxCacheP=%d, want %d", huge.maxCacheP, g.NumVertices())
-	}
-	run(huge)
-	// A query that needs the whole graph pushes the cache to cover it; the
-	// next query must be served entirely from the cache.
-	if _, err := huge.TopK(ctx, g.NumVertices(), 2, core.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if p := huge.CachedPrefix(); p != g.NumVertices() {
-		t.Errorf("after a whole-graph query the cache covers %d of %d vertices", p, g.NumVertices())
-	}
-	run(huge)
-
-	if _, err := OpenEdgeFile(path, WithPrefixCacheBytes(-1)); err == nil {
-		t.Error("negative budget: want error")
-	}
-}
-
-// TestPrefixCacheConcurrentGrowth hammers one store from many goroutines
-// with queries of increasing depth while the cache grows underneath them;
-// run under -race this is the lock-free-readers/singleflight-grower proof.
-func TestPrefixCacheConcurrentGrowth(t *testing.T) {
+// TestSemiExtMixedDepthConcurrent hammers one store from many goroutines
+// with queries of different depth: pooled sources carry decode and CSR
+// scratch from one query to the next, so a deep query's scratch must
+// never leak into a shallow one's answer, or race with it under -race.
+func TestSemiExtMixedDepthConcurrent(t *testing.T) {
 	g := gen.Random(400, 6, 23)
-	se, err := OpenEdgeFile(writeEdgeFile(t, g), WithPrefixCacheBytes(1<<30))
+	se, err := OpenEdgeFile(writeEdgeFile(t, g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +211,7 @@ func TestPrefixCacheConcurrentGrowth(t *testing.T) {
 					return
 				}
 				if got := renderResult(res); got != refs[j] {
-					errs <- fmt.Errorf("k=%d diverged under concurrent growth", ks[j])
+					errs <- fmt.Errorf("k=%d diverged under concurrent mixed-depth queries", ks[j])
 					return
 				}
 			}
@@ -390,8 +314,7 @@ func TestSemiExtClosed(t *testing.T) {
 
 func TestSemiExtCancellation(t *testing.T) {
 	g := gen.Random(400, 6, 3)
-	path := writeEdgeFile(t, g)
-	se, err := OpenEdgeFile(path)
+	se, err := OpenEdgeFile(writeEdgeFile(t, g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,18 +322,6 @@ func TestSemiExtCancellation(t *testing.T) {
 	cancel()
 	if _, err := se.TopK(ctx, 5, 3, core.Options{}); err != context.Canceled {
 		t.Errorf("cancelled query returned %v, want context.Canceled", err)
-	}
-	// The cache-growth path observes cancellation too: a cancelled context
-	// must not be able to hang on (or behind) the singleflight grower.
-	cached, err := OpenEdgeFile(path, WithPrefixCacheBytes(1<<30))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cached.growCache(ctx, g.NumVertices()); err != context.Canceled {
-		t.Errorf("cancelled cache growth returned %v, want context.Canceled", err)
-	}
-	if cached.CachedPrefix() != 0 {
-		t.Error("cancelled growth still built a cache")
 	}
 }
 
@@ -459,13 +370,12 @@ func TestOpenByBackend(t *testing.T) {
 	}
 }
 
-// BenchmarkSemiExtServe compares every semi-external serve path against
-// the in-memory pooled path for the same query; the perf-regression gate
-// tracks all three series, including allocs/op:
+// BenchmarkSemiExtServe compares the semi-external serve path against the
+// in-memory pooled path for the same query; the perf-regression gate
+// tracks both series, including allocs/op:
 //
-//	Mmap        — shared zero-copy view, prefix rebuilt per query
-//	PrefixCache — shared decoded prefix, pooled engines, lock-free reads
-//	Memory      — the fully in-memory backend (the target to approach)
+//	Mmap   — shared zero-copy view, prefix rebuilt per query
+//	Memory — the fully in-memory backend (the target to approach)
 func BenchmarkSemiExtServe(b *testing.B) {
 	g := gen.Random(20000, 8, 42)
 	path := writeEdgeFile(b, g)
@@ -489,14 +399,6 @@ func BenchmarkSemiExtServe(b *testing.B) {
 		b.Fatal(err)
 	}
 	bench("Mmap", mm)
-	pc, err := OpenEdgeFile(path, WithPrefixCacheBytes(64<<20))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := pc.TopK(ctx, 10, 4, core.Options{}); err != nil { // warm the cache
-		b.Fatal(err)
-	}
-	bench("PrefixCache", pc)
 	bench("Memory", mem)
 }
 

@@ -27,18 +27,6 @@ func NewMemoryStore(g *Graph) (Store, error) {
 // in-memory backend ignores these options.
 type StoreOption = store.OpenOption
 
-// WithPrefixCacheBytes budgets the semi-external decoded-prefix cache:
-// LocalSearch's geometric growth means virtually every query touches the
-// heavy prefix of the weight-ranked graph, so the store keeps one shared,
-// immutable decoded copy of it (up to n extra resident bytes, grown on
-// demand, read lock-free by all concurrent queries) and serves cache-
-// fitting queries as fast as the in-memory backend. 0 — the default —
-// disables the cache, preserving the strict O(n)-resident semi-external
-// model.
-func WithPrefixCacheBytes(n int64) StoreOption {
-	return store.WithPrefixCacheBytes(n)
-}
-
 // WithQueryWorkers splits the semi-external backend's bulk decodes of
 // compressed (v2) edge files across up to n goroutines. Results —
 // communities and access statistics alike — are byte-identical at any
@@ -53,8 +41,7 @@ func WithQueryWorkers(n int) StoreOption {
 // as a Store. Only the per-vertex vectors are loaded; queries read just as
 // far into the adjacency as LocalSearch's geometric growth requires,
 // through a shared memory-mapped view (positioned reads where mapping is
-// unavailable) and optionally through a shared decoded-prefix cache
-// (WithPrefixCacheBytes).
+// unavailable).
 func OpenEdgeFileStore(path string, opts ...StoreOption) (Store, error) {
 	return store.OpenEdgeFile(path, opts...)
 }
