@@ -11,7 +11,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"influcomm/internal/graph"
 )
@@ -49,8 +49,8 @@ func (c *Community) Group() []int32 { return c.group }
 func (c *Community) Children() []*Community { return c.children }
 
 // Vertices materializes the full vertex set of the community in ascending
-// rank order. It costs O(Size) and allocates; prefer walking Group and
-// Children for large nested results.
+// rank order. It sorts, so it costs O(Size log Size), and allocates;
+// prefer walking Group and Children for large nested results.
 func (c *Community) Vertices() []int32 {
 	out := make([]int32, 0, c.size)
 	var walk func(x *Community)
@@ -61,7 +61,7 @@ func (c *Community) Vertices() []int32 {
 		}
 	}
 	walk(c)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -6,7 +6,8 @@ import "influcomm/internal/graph"
 // EnumIC-P. It owns the v2key disjoint-set structure mapping each vertex to
 // the smallest keynode whose community contains it; for LocalSearch-P the
 // same state is shared across rounds so enumeration work is never repeated.
-// An EnumState is bound to one graph/γ and is not safe for concurrent use.
+// An EnumState is bound to one graph; after Recycle it serves any γ of
+// that graph (Pool relies on this). It is not safe for concurrent use.
 type EnumState struct {
 	vgroup []int32      // per vertex: group index, or -1 when unassigned
 	parent []int32      // disjoint sets over group indices
@@ -58,6 +59,14 @@ func (s *EnumState) find(j int32) int32 {
 // In progressive mode the method is called once per round with the round's
 // fresh CVS; the persistent v2key state makes each new community link to
 // the already-built communities nested inside it (Lemma 3.6).
+//
+// The neighbour scan of keynode u stops at rank u, which bounds the work
+// by the edges of G≥f(u) rather than of the prefix c.P. The bound loses
+// nothing. Keynodes arrive in decreasing weight, within one call and
+// across progressive rounds, so a vertex assigned before u's group lies in
+// the community of an earlier keynode: it weighs more than f(u) and has
+// rank below u (Lemma 3.4). A neighbour of rank u or more is therefore
+// unassigned or u itself, and the scan would skip it anyway.
 func (s *EnumState) Process(g *graph.Graph, c *CVS, k int) []*Community {
 	start := 0
 	if k >= 0 && len(c.Keys) > k {
@@ -85,7 +94,7 @@ func (s *EnumState) Process(g *graph.Graph, c *CVS, k int) []*Community {
 			size:      len(seg),
 		}
 		for _, v := range seg {
-			for _, w := range g.NeighborsWithin(v, c.P) {
+			for _, w := range g.NeighborsWithin(v, int(u)) {
 				gw := s.vgroup[w]
 				if gw < 0 {
 					continue

@@ -60,6 +60,17 @@ func (p *Pool) TopK(ctx context.Context, k int, gamma int32, opts Options) (*Res
 	return TopKOver(ctx, poolSource{p}, k, gamma, opts)
 }
 
+// EnumIC runs EnumIC (Algorithm 3) over the pool's graph on a pooled
+// EnumState, which Recycle resets in output-size time, so a call
+// allocates only the communities it returns.
+func (p *Pool) EnumIC(c *CVS, k int) []*Community {
+	enum := p.enums.Get().(*EnumState)
+	comms := enum.Process(p.g, c, k)
+	enum.Recycle()
+	p.enums.Put(enum)
+	return comms
+}
+
 // Stream answers a progressive query with a pooled engine: equivalent to
 // StreamCtx. CVS buffers are not reused here — the yielded communities
 // retain each round's group slices — so only the engine allocation is

@@ -128,10 +128,7 @@ func TopKOver(ctx context.Context, src SearchSource, k int, gamma int32, opts Op
 	case opts.NonContainment:
 		comms = nonContainmentCommunities(g, cvs, k)
 	case pool != nil:
-		enum := pool.enums.Get().(*EnumState)
-		comms = enum.Process(g, cvs, k)
-		enum.Recycle()
-		pool.enums.Put(enum)
+		comms = pool.EnumIC(cvs, k)
 	default:
 		comms = EnumIC(g, cvs, k)
 	}

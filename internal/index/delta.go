@@ -67,10 +67,10 @@ func (ix *Index) ApplyDeltaContext(ctx context.Context, ng *graph.Graph, cut, wo
 	if cut == n {
 		// Empty delta: same edge set, so the decompositions carry over;
 		// only the graph binding changes.
-		return &Index{g: ng, gammaMax: ix.gammaMax, perGamma: ix.perGamma}, nil
+		return &Index{g: ng, pool: core.NewPool(ng), gammaMax: ix.gammaMax, perGamma: ix.perGamma}, nil
 	}
 	gmax := kcore.MaxCore(ng)
-	out := &Index{g: ng, gammaMax: gmax, perGamma: make([]*core.CVS, gmax)}
+	out := &Index{g: ng, pool: core.NewPool(ng), gammaMax: gmax, perGamma: make([]*core.CVS, gmax)}
 	if gmax == 0 {
 		return out, nil
 	}

@@ -2,7 +2,10 @@
 // paper contrasts LocalSearch against (IndexAll, Li et al. [26]): a
 // pre-built structure that materializes the keynode and community-aware
 // vertex sequences of *every* γ value in compact form, so any (k, γ) query
-// is answered in time proportional to its output.
+// is answered in time proportional to its output: the groups of the
+// reported communities and, for each group vertex, its neighbours within
+// G≥f(u) of its community's keynode u. A query touches no O(n) state; its
+// enumeration state comes from a pool and is reset in output-size time.
 //
 // The index exhibits exactly the trade-offs the paper's introduction
 // describes: construction costs O(γmax · size(G)), the structure must be
@@ -32,9 +35,11 @@ import (
 )
 
 // Index holds one CountIC decomposition per γ ∈ [1, γmax]. Queries share
-// the graph the index was built on.
+// the graph the index was built on and a pool of enumeration states over
+// it.
 type Index struct {
 	g        *graph.Graph
+	pool     *core.Pool
 	gammaMax int32
 	perGamma []*core.CVS // index γ-1
 }
@@ -81,7 +86,7 @@ func BuildContext(ctx context.Context, g *graph.Graph, workers int) (*Index, err
 		return nil, err
 	}
 	gmax := kcore.MaxCore(g)
-	ix := &Index{g: g, gammaMax: gmax, perGamma: make([]*core.CVS, gmax)}
+	ix := &Index{g: g, pool: core.NewPool(g), gammaMax: gmax, perGamma: make([]*core.CVS, gmax)}
 	if gmax == 0 {
 		return ix, nil
 	}
@@ -170,8 +175,11 @@ func (ix *Index) CommunityCount(gamma int32) int {
 }
 
 // TopK answers a query from the materialized sequences: it runs EnumIC
-// restricted to the last k keynodes, so the cost is proportional to the
-// size of the reported communities, not to the graph.
+// restricted to the last k keynodes on a pooled enumeration state. Each
+// group vertex of the answer scans only its neighbours within G≥f(u) of
+// its community's keynode u, so the cost is proportional to the reported
+// communities and their edges, with no O(n) term. It is safe for
+// concurrent use.
 func (ix *Index) TopK(k int, gamma int32) ([]*core.Community, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("index: k must be >= 1, got %d", k)
@@ -182,7 +190,7 @@ func (ix *Index) TopK(k int, gamma int32) ([]*core.Community, error) {
 	if gamma > ix.gammaMax {
 		return nil, nil // no γ-core, no communities
 	}
-	return core.EnumIC(ix.g, ix.perGamma[gamma-1], k), nil
+	return ix.pool.EnumIC(ix.perGamma[gamma-1], k), nil
 }
 
 // MemoryFootprint returns the number of int32 slots the materialized

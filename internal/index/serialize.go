@@ -125,7 +125,7 @@ func ReadFrom(r io.Reader, g *graph.Graph) (*Index, error) {
 	if gmaxRaw > math.MaxInt32 || int64(gmaxRaw) > int64(g.NumVertices()) {
 		return nil, fmt.Errorf("index: implausible gammaMax %d for %d vertices", gmaxRaw, g.NumVertices())
 	}
-	ix := &Index{g: g, gammaMax: int32(gmaxRaw), perGamma: make([]*core.CVS, gmaxRaw)}
+	ix := &Index{g: g, pool: core.NewPool(g), gammaMax: int32(gmaxRaw), perGamma: make([]*core.CVS, gmaxRaw)}
 	for gi := range ix.perGamma {
 		nk, err := get32()
 		if err != nil {

@@ -22,10 +22,11 @@ type cacheKey struct {
 	mode    string
 }
 
-// resultCache is a bounded LRU over successful /v1/topk responses. The
-// graphs behind a server are immutable while loaded, so an entry can only
-// go stale by its dataset being unloaded — which purges it. Hit and miss
-// counters are reported on /v1/stats.
+// resultCache is a bounded LRU over successful /v1/topk responses. An
+// entry goes stale in one of two ways: its dataset is unloaded, which
+// purges it, or a mutable dataset publishes a new snapshot, after which
+// the entry's epoch key no longer matches and it ages out of the LRU (see
+// cacheKey). Hit and miss counters are reported on /v1/stats.
 type resultCache struct {
 	capacity int
 

@@ -7,14 +7,18 @@ import (
 
 	"influcomm/internal/core"
 	"influcomm/internal/graph"
+	"influcomm/internal/index"
 )
 
 // FuzzSearch holds every instance of the one growth loop, core.Search, to
 // the brute-force references on small graphs decoded from raw bytes:
 // core.TopK under both core semantics against NaiveTopK and
 // NaiveNonContainment, Pool.TopK and the progressive Stream against TopK,
-// and for γ ≥ 2 the truss LocalSearch and Stream against truss.NaiveTopK,
-// across δ ∈ {default, 1.5, 3}. Every Stats must account its final prefix.
+// under core semantics two queries of different k on one prebuilt index
+// against NaiveTopK (the second runs on the recycled pooled enumeration
+// state), and for γ ≥ 2 the truss LocalSearch and Stream against
+// truss.NaiveTopK, across δ ∈ {default, 1.5, 3}. Every Stats must account
+// its final prefix.
 func FuzzSearch(f *testing.F) {
 	k5 := []byte{0, 1, 0, 2, 0, 3, 0, 4, 1, 2, 1, 3, 1, 4, 2, 3, 2, 4, 3, 4}
 	f.Add(k5, uint8(4), uint8(1), uint8(2), uint8(0))
@@ -94,6 +98,29 @@ func FuzzSearch(f *testing.F) {
 		}
 		sameKeys(t, name+" Stream vs TopK", streamed, got)
 		accounted(t, name+" Stream", g, st)
+
+		if !opts.NonContainment {
+			// The index enumerates over the whole graph (c.P = n), where
+			// EnumIC's scan bound cuts the most.
+			cix, err := index.Build(g)
+			if err != nil {
+				t.Fatalf("%s: index.Build: %v", name, err)
+			}
+			for _, qk := range []int{k, 13 - k} {
+				comms, err := cix.TopK(qk, gamma)
+				if err != nil {
+					t.Fatalf("%s: index TopK(%d): %v", name, qk, err)
+				}
+				var iwant, igot []string
+				for _, c := range core.NaiveTopK(g, qk, gamma) {
+					iwant = append(iwant, fmt.Sprint(c.Keynode, c.Vertices))
+				}
+				for _, c := range comms {
+					igot = append(igot, fmt.Sprint(c.Keynode(), c.Vertices()))
+				}
+				sameKeys(t, fmt.Sprintf("%s index TopK(%d) vs naive", name, qk), igot, iwant)
+			}
+		}
 
 		if gamma < 2 {
 			return
