@@ -154,7 +154,7 @@ func (q *QueryPool) Stream(ctx context.Context, gamma int, yield func(*Community
 	if q.st == nil {
 		return core.StreamCtx(ctx, q.g, int32(gamma), core.Options{}, yield)
 	}
-	return q.st.Stream(ctx, int32(gamma), core.Options{}, yield)
+	return q.st.Pool().Stream(ctx, int32(gamma), core.Options{}, yield)
 }
 
 // TopKNonContainment returns the top-k non-containment influential

@@ -15,6 +15,10 @@ import (
 // scratch depends only on the graph) and CVS buffers in sync.Pools, so
 // steady-state queries perform zero engine allocations.
 //
+// A Pool is also the in-memory Searcher and SearchSource over its graph:
+// Materialize hands back the pool's graph, so TopKOver and StreamOver run
+// every round of a query on one engine checked out of the pool.
+//
 // A Pool is safe for concurrent use; each checked-out engine is used by one
 // goroutine at a time.
 type Pool struct {
@@ -35,6 +39,13 @@ func NewPool(g *graph.Graph) *Pool {
 
 // Graph returns the pool's graph.
 func (p *Pool) Graph() *graph.Graph { return p.g }
+
+// NumVertices, PrefixSize, PrefixForSize and Materialize make the pool a
+// SearchSource over its graph.
+func (p *Pool) NumVertices() int                      { return p.g.NumVertices() }
+func (p *Pool) PrefixSize(n int) int64                { return p.g.PrefixSize(n) }
+func (p *Pool) PrefixForSize(want int64) int          { return p.g.PrefixForSize(want) }
+func (p *Pool) Materialize(int) (*graph.Graph, error) { return p.g, nil }
 
 // Get checks an engine out of the pool, reset to the given γ. Return it
 // with Put when the query is done.
@@ -57,7 +68,7 @@ func (p *Pool) TopK(ctx context.Context, k int, gamma int32, opts Options) (*Res
 	if p.g == nil {
 		return nil, errNilGraph
 	}
-	return TopKOver(ctx, poolSource{p}, k, gamma, opts)
+	return TopKOver(ctx, p, k, gamma, opts)
 }
 
 // EnumIC runs EnumIC (Algorithm 3) over the pool's graph on a pooled
@@ -71,16 +82,13 @@ func (p *Pool) EnumIC(c *CVS, k int) []*Community {
 	return comms
 }
 
-// Stream answers a progressive query with a pooled engine: equivalent to
-// StreamCtx. CVS buffers are not reused here — the yielded communities
-// retain each round's group slices — so only the engine allocation is
-// saved.
+// Stream answers a progressive query with a pooled engine: StreamOver
+// over the pool, equivalent to StreamCtx. CVS buffers are not reused here
+// — the yielded communities retain each round's group slices — so only the
+// engine allocation is saved.
 func (p *Pool) Stream(ctx context.Context, gamma int32, opts Options, yield func(*Community) bool) (Stats, error) {
 	if p.g == nil {
 		return Stats{}, errNilGraph
 	}
-	eng := p.Get(gamma)
-	defer p.Put(eng)
-	eng.SetContext(ctx)
-	return runStream(ctx, eng, opts, yield)
+	return StreamOver(ctx, p, gamma, opts, yield)
 }

@@ -114,7 +114,7 @@ type snapshot struct {
 }
 
 // Store is a mutable graph served through copy-on-write snapshots. Reads
-// (TopK, Stream, Graph) are lock-free and never pause during updates;
+// (Pin, TopK, Graph) are lock-free and never pause during updates;
 // writes (ApplyUpdates, Close) serialize among themselves. It implements
 // the store.Store interface with backend name "mutable".
 type Store struct {
@@ -240,6 +240,14 @@ func (s *Store) SnapshotEpoch() uint64 { return s.snap.Load().epoch }
 // (inserts plus deletes, no-ops excluded) applied since the store opened.
 func (s *Store) UpdatesApplied() int64 { return s.applied.Load() }
 
+// Pin returns the published snapshot's engine pool and epoch in one
+// atomic load. Queries on the pool run on that snapshot however many
+// batches publish meanwhile, and complete normally if the store closes.
+func (s *Store) Pin() (core.Searcher, uint64) {
+	sn := s.snap.Load()
+	return sn.pool, sn.epoch
+}
+
 // TopK answers a query against the snapshot current at call time: the one
 // atomic pointer load is the snapshot pin — updates applied while the
 // query runs publish new snapshots without disturbing it.
@@ -248,15 +256,6 @@ func (s *Store) TopK(ctx context.Context, k int, gamma int32, opts core.Options)
 		return nil, errors.New("mutable: store is closed")
 	}
 	return s.snap.Load().pool.TopK(ctx, k, gamma, opts)
-}
-
-// Stream answers a progressive query against the snapshot current at call
-// time, with the same pinning discipline as TopK.
-func (s *Store) Stream(ctx context.Context, gamma int32, opts core.Options, yield func(*core.Community) bool) (core.Stats, error) {
-	if s.closed.Load() {
-		return core.Stats{}, errors.New("mutable: store is closed")
-	}
-	return s.snap.Load().pool.Stream(ctx, gamma, opts, yield)
 }
 
 // ApplyUpdates applies one batch of edge mutations and publishes the

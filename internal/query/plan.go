@@ -1,11 +1,19 @@
 package query
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+
+	"influcomm/internal/core"
+	"influcomm/internal/index"
+	"influcomm/internal/truss"
+)
 
 // Access paths a plan node can be assigned. They are the planner's greedy,
 // statistics-free choice; executors treat them as advisory and stay free to
-// fall back (e.g. index → LocalSearch while a rebuild is in flight). The
-// single-node server reports the path its execution took instead.
+// fall back (e.g. index → LocalSearch while a rebuild is in flight). On a
+// single node every node runs through Exec, which reports the path it
+// actually took.
 const (
 	// PathIndex serves the node from the dataset's prebuilt influence index.
 	PathIndex = "index"
@@ -16,6 +24,76 @@ const (
 	// PathScatter scatter-gathers the node across cluster shards.
 	PathScatter = "scatter"
 )
+
+// Community is one answer Exec yields, whatever its semantics: the
+// accessors core.Community and truss.Community share.
+type Community interface {
+	Influence() float64
+	Keynode() int32
+	Vertices() []int32
+}
+
+// Target is one pinned snapshot of a dataset as Exec sees it.
+type Target struct {
+	// Search runs LocalSearch and LocalSearch-P over the snapshot.
+	Search core.Searcher
+	// Index is a prebuilt index valid for the snapshot, or nil.
+	Index *index.Index
+	// Truss is the truss index of the snapshot's graph; only truss nodes
+	// read it, and they fail without it.
+	Truss *truss.Index
+}
+
+// Exec runs plan node n on t, yielding its communities in decreasing
+// influence order until yield returns false. It is the one place a node's
+// access path is decided: truss semantics run the truss search, core
+// semantics with an index read the index, and everything else runs
+// LocalSearch over t.Search. With progressive set the online paths stream
+// (LocalSearch-P, Algorithm 4, or the truss stream) and stop as soon as
+// yield does; otherwise they run the top-k search for n.K, which keeps
+// pooled buffers and reports the prefix a k-known search needs. Exec
+// returns the path taken and the final prefix the search accessed (0 on
+// the index path).
+func Exec(ctx context.Context, t Target, n Node, progressive bool, yield func(Community) bool) (path string, accessed int, err error) {
+	opts := core.Options{NonContainment: n.Mode == SemNonContainment}
+	switch {
+	case n.Mode == SemTruss && progressive:
+		accessed, err = truss.StreamCtx(ctx, t.Truss, n.Gamma, func(c *truss.Community) bool { return yield(c) })
+		return PathTruss, accessed, err
+	case n.Mode == SemTruss:
+		res, err := truss.LocalSearchCtx(ctx, t.Truss, n.K, n.Gamma)
+		if err != nil {
+			return PathTruss, 0, err
+		}
+		yieldAll(res.Communities, yield)
+		return PathTruss, res.Stats.FinalPrefix, nil
+	case n.Mode == SemCore && t.Index != nil:
+		comms, err := t.Index.TopK(n.K, n.Gamma)
+		if err != nil {
+			return PathIndex, 0, err
+		}
+		yieldAll(comms, yield)
+		return PathIndex, 0, nil
+	case progressive:
+		st, err := t.Search.Stream(ctx, n.Gamma, opts, func(c *core.Community) bool { return yield(c) })
+		return PathLocal, st.FinalPrefix, err
+	}
+	res, err := t.Search.TopK(ctx, n.K, n.Gamma, opts)
+	if err != nil {
+		return PathLocal, 0, err
+	}
+	yieldAll(res.Communities, yield)
+	return PathLocal, res.Stats.FinalPrefix, nil
+}
+
+// yieldAll yields comms in order until yield refuses one.
+func yieldAll[C Community](comms []C, yield func(Community) bool) {
+	for _, c := range comms {
+		if !yield(c) {
+			return
+		}
+	}
+}
 
 // MaxPlanNodes caps the nodes one batch may expand to — a wide γ range
 // times a semantics combinator multiplies, and the cap keeps one request

@@ -2,8 +2,10 @@
 // language over the paper's search primitives, a statistics-free greedy
 // planner that expands each statement into fixed-shape plan nodes and picks
 // an access path (prebuilt index, online LocalSearch, or the truss index)
-// per node, and a work-sharing executor primitive (Sharer) that computes
-// identical plan nodes exactly once across concurrent queries.
+// per node, the one executor (Exec) that runs a node against a pinned
+// snapshot and decides the path that actually answers it, and a
+// work-sharing primitive (Sharer) that computes identical plan nodes
+// exactly once across concurrent queries.
 //
 // A batch is one or more statements separated by ';'. Each statement is a
 // source followed by a pipeline of filters:

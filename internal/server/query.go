@@ -3,14 +3,13 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"influcomm/internal/cluster"
 	"influcomm/internal/core"
-	"influcomm/internal/graph"
 	"influcomm/internal/query"
 	"influcomm/internal/queryweight"
 )
@@ -18,7 +17,7 @@ import (
 // This file is the single-node side of the query DSL (internal/query):
 // POST /v1/query parses a batch, plans it into fixed-shape nodes, and
 // executes the nodes through the same engine boundary as /v1/topk
-// (executeTopK), with cross-query sharing — identical canonical nodes at
+// (execute), with cross-query sharing — identical canonical nodes at
 // the same snapshot epoch are computed once across all concurrent batches
 // via the dataset's Sharer, and seed-scoped (near) statements additionally
 // share the reweighted graph across their γ expansion.
@@ -135,11 +134,10 @@ func (s *Server) runQueryBatch(ctx context.Context, w http.ResponseWriter, r *ht
 	defer ds.release()
 	ds.queries.Add(1)
 
-	// One epoch pins the whole batch: every fixed-shape node executes and
-	// shares against it, exactly like a /v1/topk cache key. (As everywhere
-	// else, a concurrent update can at worst make an execution see a newer
-	// snapshot than the epoch it is keyed under — never an older one.)
-	epoch := ds.epoch()
+	// One pin serves the whole batch: every node runs on the pinned
+	// snapshot and shares work under its epoch, exactly like a /v1/topk
+	// cache key, so the reported snapshot_epoch is the one that answered.
+	pin := ds.pin()
 	nodes, err := query.PlanQuery(q, nil)
 	if err != nil {
 		return nil, &httpError{http.StatusBadRequest, err.Error()}
@@ -155,13 +153,13 @@ func (s *Server) runQueryBatch(ctx context.Context, w http.ResponseWriter, r *ht
 		Query:         q.String(),
 		Dataset:       name,
 		PlanNodes:     len(nodes),
-		SnapshotEpoch: epoch,
+		SnapshotEpoch: pin.epoch,
 	}
 	for _, st := range q.Statements {
 		resp.Results = append(resp.Results, statementResult{Statement: st.String()})
 	}
 	for _, n := range nodes {
-		er, shared, err := s.executeNode(ctx, ds, n, epoch)
+		er, shared, err := s.executeNode(ctx, &pin, n)
 		if err != nil {
 			return nil, err
 		}
@@ -182,76 +180,44 @@ func (s *Server) runQueryBatch(ctx context.Context, w http.ResponseWriter, r *ht
 	return resp, nil
 }
 
-// executeNode runs one plan node with cross-query sharing: the node's
-// canonical key plus the snapshot epoch identify the computation, so any
-// concurrent or recent identical node — same batch, another batch, another
-// client — yields one execution. Fixed-shape nodes run through executeTopK,
-// the same engine boundary as /v1/topk, which is what makes a DSL node's
-// communities byte-identical to its fixed-shape equivalent.
-func (s *Server) executeNode(ctx context.Context, ds *dataset, n query.Node, epoch uint64) (*execResult, bool, error) {
-	if n.FixedShape() {
-		val, shared, err := ds.sharer.Do(ctx, epoch, n.Key, func() (any, error) {
-			return s.executeTopK(ctx, ds, queryParams{K: n.K, Gamma: n.Gamma, Mode: n.Mode}, epoch)
+// executeNode runs one plan node on the pinned snapshot with cross-query
+// sharing: the node's canonical key plus the snapshot epoch identify the
+// computation, so any concurrent or recent identical node — same batch,
+// another batch, another client — yields one execution. Every node runs
+// through execute, the same engine boundary as /v1/topk, which is what
+// makes a DSL node's communities byte-identical to its fixed-shape
+// equivalent.
+func (s *Server) executeNode(ctx context.Context, pin *pinned, n query.Node) (*execResult, bool, error) {
+	ds, on := pin.ds, pin
+	if !n.FixedShape() {
+		// near: reweight by seed distance, then search the reweighted
+		// graph. The reweighting is itself a shareable prefix — every γ
+		// and semantics expansion of one seed set, across all concurrent
+		// batches, uses one BFS + rebuild and one engine pool over it.
+		g := pin.search.Graph()
+		if g == nil {
+			return nil, false, &httpError{http.StatusBadRequest,
+				"near queries need whole-graph access; dataset " + strconv.Quote(ds.name) + " uses the " + ds.st.Backend() + " backend"}
+		}
+		// Seeds are canonical (sorted, deduplicated), so they name the
+		// reweighting exactly.
+		rwVal, _, err := ds.sharer.Do(ctx, pin.epoch, "reweight|"+fmt.Sprint(n.Seeds), func() (any, error) {
+			rw, err := queryweight.Reweight(g, n.Seeds)
+			if err != nil {
+				return nil, &httpError{http.StatusBadRequest, err.Error()}
+			}
+			return core.NewPool(rw), nil
 		})
 		if err != nil {
 			return nil, false, err
 		}
-		return val.(*execResult), shared, nil
+		on = &pinned{ds: ds, search: rwVal.(*core.Pool), epoch: pin.epoch}
 	}
-
-	// near: reweight by seed distance, then search the reweighted graph.
-	// The reweighting is itself a shareable prefix — every γ and semantics
-	// expansion of one seed set, across all concurrent batches, uses one
-	// BFS + rebuild. Keyed by the snapshot epoch actually read, which can
-	// be newer than the batch epoch (the harmless direction).
-	g, gepoch := snapshotOf(ds.st)
-	if g == nil {
-		return nil, false, &httpError{http.StatusBadRequest,
-			"near queries need whole-graph access; dataset " + strconv.Quote(ds.name) + " uses the " + ds.st.Backend() + " backend"}
-	}
-	rwVal, _, err := ds.sharer.Do(ctx, gepoch, reweightKey(n.Seeds), func() (any, error) {
-		rw, err := queryweight.Reweight(g, n.Seeds)
-		if err != nil {
-			return nil, &httpError{http.StatusBadRequest, err.Error()}
-		}
-		return rw, nil
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	rw := rwVal.(*graph.Graph)
-	val, shared, err := ds.sharer.Do(ctx, gepoch, n.Key, func() (any, error) {
-		res, err := core.TopKCtx(ctx, rw, n.K, n.Gamma, core.Options{
-			NonContainment: n.Mode == cluster.ModeNonContainment,
-		})
-		if err != nil {
-			return nil, queryError(err)
-		}
-		s.metrics.localServed.Add(1)
-		ds.localServed.Add(1)
-		out := &execResult{Accessed: res.Stats.FinalPrefix, Path: query.PathLocal}
-		for _, c := range res.Communities {
-			out.Communities = append(out.Communities, cluster.Render(rw, c.Influence(), c.Keynode(), c.Vertices()))
-		}
-		return out, nil
+	val, shared, err := ds.sharer.Do(ctx, pin.epoch, n.Key, func() (any, error) {
+		return s.execute(ctx, on, n, false, nil)
 	})
 	if err != nil {
 		return nil, false, err
 	}
 	return val.(*execResult), shared, nil
-}
-
-// reweightKey names the shared seed-reweighting computation for a
-// canonical (sorted, deduplicated) seed set.
-func reweightKey(seeds []int32) string {
-	var b strings.Builder
-	b.WriteString("reweight|seeds=[")
-	for i, sd := range seeds {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(int(sd)))
-	}
-	b.WriteByte(']')
-	return b.String()
 }

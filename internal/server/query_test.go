@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -356,6 +357,53 @@ func TestCSESharingNeverCrossesEpochs(t *testing.T) {
 	}
 	if total != 2 {
 		t.Errorf("decompositions across the epoch change = %d, want 2 (one per epoch)", total)
+	}
+}
+
+// TestQueryBatchAnswersPinnedSnapshot: a /v1/query batch runs every node on
+// the snapshot it pinned, so the snapshot_epoch it reports is the one that
+// answered. An update published after the pin, just before the first node
+// executes, must not reach the batch.
+func TestQueryBatchAnswersPinnedSnapshot(t *testing.T) {
+	s, ts := dslBackendsServer(t)
+	ds := s.registry.acquireLookup("dyn")
+	if ds == nil {
+		t.Fatal("dyn dataset missing")
+	}
+	defer ds.release()
+	before := topKCommunities(t, ts, "k=3&gamma=2&dataset=dyn")
+
+	// Vertex 4 gains a second edge into the top K4 {0,1,2,3}, which
+	// changes the top-3 at γ = 2.
+	var once sync.Once
+	ds.sharer.SetExecHook(func(string) {
+		once.Do(func() {
+			if _, err := store.AsMutable(ds.st).ApplyUpdates(context.Background(), []store.EdgeUpdate{{U: 4, V: 1}}); err != nil {
+				t.Errorf("update: %v", err)
+			}
+		})
+	})
+	defer ds.sharer.SetExecHook(nil)
+
+	code, body := postQuery(t, ts, `{"query":"topk(k=3, gamma=2)","dataset":"dyn"}`)
+	var qr struct {
+		rawQueryResponse
+		SnapshotEpoch uint64 `json:"snapshot_epoch"`
+	}
+	if err := json.Unmarshal(body, &qr); err != nil {
+		t.Fatalf("unmarshal %s: %v", body, err)
+	}
+	if code != http.StatusOK || len(qr.Results) != 1 || len(qr.Results[0].Nodes) != 1 {
+		t.Fatalf("status %d: %s", code, body)
+	}
+	if qr.SnapshotEpoch != 0 {
+		t.Errorf("snapshot_epoch = %d, want the pinned 0", qr.SnapshotEpoch)
+	}
+	if got := qr.Results[0].Nodes[0].Communities; string(got) != string(before) {
+		t.Errorf("batch pinned at epoch 0 answered from another snapshot:\ndsl     %s\nepoch 0 %s", got, before)
+	}
+	if after := topKCommunities(t, ts, "k=3&gamma=2&dataset=dyn"); string(after) == string(before) {
+		t.Fatalf("the update left the top-3 unchanged (%s); the test proves nothing", after)
 	}
 }
 

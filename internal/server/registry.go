@@ -91,13 +91,11 @@ type dataset struct {
 }
 
 // epoch returns the store's snapshot epoch: 0 for immutable backends, the
-// monotonically increasing batch counter for mutable ones. It keys the
-// result cache and the truss index, so both stay coherent across updates.
+// monotonically increasing batch counter for mutable ones. Queries read it
+// through pin, together with the snapshot it names.
 func (d *dataset) epoch() uint64 {
-	if ms := store.AsMutable(d.st); ms != nil {
-		return ms.SnapshotEpoch()
-	}
-	return 0
+	_, epoch := d.st.Pin()
+	return epoch
 }
 
 // indexAt returns the prebuilt index valid at the given snapshot epoch,
@@ -146,16 +144,6 @@ func (d *dataset) indexState() string {
 // from the LocalSearch fallback until the index catches up.
 func (d *dataset) ready() bool {
 	return d.indexState() != "rebuilding"
-}
-
-// snapshotOf returns a store's whole graph together with the epoch it
-// belongs to, in one coherent read for mutable backends; immutable
-// backends are eternally at epoch 0 (and semi-external ones return nil).
-func snapshotOf(st store.Store) (*graph.Graph, uint64) {
-	if ms := store.AsMutable(st); ms != nil {
-		return ms.Snapshot()
-	}
-	return st.Graph(), 0
 }
 
 // truss returns the truss index for g, building it on first use and

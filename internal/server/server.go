@@ -53,6 +53,7 @@ import (
 	"influcomm/internal/cluster"
 	"influcomm/internal/graph"
 	"influcomm/internal/index"
+	"influcomm/internal/query"
 	"influcomm/internal/store"
 )
 
@@ -480,13 +481,13 @@ func (s *Server) topK(ctx context.Context, r *http.Request) (*topKResponse, erro
 	defer ds.release()
 	ds.queries.Add(1)
 
-	// The epoch is read once, before the query executes, and keys both the
-	// cache entry and executeTopK's index-validity check: a concurrent
-	// update can at worst leave an entry keyed under an epoch that no future
-	// request carries (monotonic, so it just ages out of the LRU) — never
-	// a stale result served as current.
-	epoch := ds.epoch()
-	key := cacheKey{dataset: name, gen: ds.gen, epoch: epoch, k: p.K, gamma: int(p.Gamma), mode: p.Mode}
+	// The snapshot is pinned once, before the cache lookup: its epoch keys
+	// the cache entry and selects the index, and the query runs on exactly
+	// that snapshot, so an entry always answers for the epoch it is keyed
+	// under. A concurrent update leaves the entry under an epoch no future
+	// request carries (monotonic, so it just ages out of the LRU).
+	pin := ds.pin()
+	key := cacheKey{dataset: name, gen: ds.gen, epoch: pin.epoch, k: p.K, gamma: int(p.Gamma), mode: p.Mode}
 	if s.cache != nil {
 		if hit, ok := s.cache.get(key); ok { // hit/miss counters live on the cache
 			resp := *hit // shallow copy; communities are immutable once built
@@ -496,7 +497,7 @@ func (s *Server) topK(ctx context.Context, r *http.Request) (*topKResponse, erro
 	}
 
 	start := time.Now()
-	er, err := s.executeTopK(ctx, ds, p, epoch)
+	er, err := s.execute(ctx, &pin, query.Node{K: p.K, Gamma: p.Gamma, Mode: p.Mode}, false, nil)
 	if err != nil {
 		return nil, err
 	}

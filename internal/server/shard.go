@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"influcomm/internal/cluster"
+	"influcomm/internal/query"
 )
 
 // handleShardStream serves GET /v1/shard/stream: the shard side of the
@@ -88,15 +89,15 @@ func (s *Server) handleShardStream(w http.ResponseWriter, r *http.Request) {
 	defer ds.release()
 	ds.queries.Add(1)
 
-	// Pin the snapshot once: graph and epoch are one coherent read, and the
-	// whole stream — header, every community, trailer — describes exactly
-	// that snapshot, however many update batches land while it runs.
-	g, epoch := snapshotOf(ds.st)
+	// Pin the snapshot once: the whole stream — header, every community,
+	// trailer — describes exactly that snapshot, however many update
+	// batches land while it runs.
+	pin := ds.pin()
 
 	// Mode/backend validation must fail as an HTTP status, before the 200
 	// and the header line commit us to the stream framing.
 	if p.Mode == cluster.ModeTruss {
-		if verr := validateTruss(ds, g, p.Gamma); verr != nil {
+		if verr := validateTruss(ds, pin.search.Graph(), p.Gamma); verr != nil {
 			writeJSON(w, s.classify(verr), map[string]string{"error": verr.Error()})
 			return
 		}
@@ -116,12 +117,15 @@ func (s *Server) handleShardStream(w http.ResponseWriter, r *http.Request) {
 		return true
 	}
 	if !writeLine(cluster.StreamLine{Header: &cluster.StreamHeader{
-		Dataset: name, Mode: p.Mode, SnapshotEpoch: epoch,
+		Dataset: name, Mode: p.Mode, SnapshotEpoch: pin.epoch,
 	}}) {
 		return
 	}
 
-	sr, err := s.executeStream(ctx, ds, p, limit, g, epoch, func(c communityJSON) bool {
+	// Online paths stream progressively (LocalSearch-P on every backend,
+	// or the truss stream), so the work stops where the coordinator's
+	// cancel or the limit stops the stream.
+	er, err := s.execute(ctx, &pin, query.Node{K: limit, Gamma: p.Gamma, Mode: p.Mode}, true, func(c communityJSON) bool {
 		return writeLine(cluster.StreamLine{Community: &c})
 	})
 	s.metrics.durationUS.Add(time.Since(start).Microseconds())
@@ -134,10 +138,12 @@ func (s *Server) handleShardStream(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	// A stream that ends below its limit ran dry: the shard's bound for any
+	// further candidate is "none", not the last emitted influence.
 	writeLine(cluster.StreamLine{Trailer: &cluster.StreamTrailer{
 		Done:             true,
-		Communities:      sr.Sent,
-		Exhausted:        sr.Exhausted,
-		AccessedVertices: sr.Accessed,
+		Communities:      er.Sent,
+		Exhausted:        er.Sent < limit,
+		AccessedVertices: er.Accessed,
 	}})
 }

@@ -2,8 +2,11 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"influcomm/internal/cluster"
@@ -152,5 +155,51 @@ func TestShardStreamCountsInStats(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/stats", &st)
 	if st.ShardStreams != 1 {
 		t.Errorf("shard_streams = %d, want 1", st.ShardStreams)
+	}
+}
+
+// TestShardStreamSemiExtProgressive serves one graph twice, in memory and
+// from a semi-external edge file, and requires every shard stream line
+// after the header to be byte-equal between the two, trailer included.
+// Both backends run LocalSearch-P, so a semi-external shard stops where
+// the limit stops the stream and reports the same accessed_vertices and
+// exhausted as the in-memory one. rankGraph makes ranks and original IDs
+// coincide, so the community lines are comparable.
+func TestShardStreamSemiExtProgressive(t *testing.T) {
+	g := rankGraph(t)
+	s, err := New(g, WithDataset("se", DatasetConfig{Store: edgeFileStore(t, g)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	rawLines := func(url string) [][]byte {
+		t.Helper()
+		code, body := fetch(t, url)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", url, code, body)
+		}
+		lines := bytes.Split(bytes.TrimSuffix(body, []byte("\n")), []byte("\n"))
+		if len(lines) < 2 {
+			t.Fatalf("%s: %d lines, want header + trailer at least", url, len(lines))
+		}
+		return lines[1:] // the header names the dataset
+	}
+	for _, mode := range []string{cluster.ModeCore, cluster.ModeNonContainment} {
+		for gamma := 1; gamma <= 4; gamma++ {
+			for _, limit := range []int{1, 2, 5, 50} {
+				q := fmt.Sprintf("%s%s?gamma=%d&limit=%d&mode=%s", ts.URL, cluster.StreamPath, gamma, limit, mode)
+				mem, se := rawLines(q), rawLines(q+"&dataset=se")
+				if len(mem) != len(se) {
+					t.Fatalf("%s γ=%d limit=%d: memory streamed %d lines, semiext %d\nmemory %s\nsemiext %s",
+						mode, gamma, limit, len(mem), len(se), bytes.Join(mem, nil), bytes.Join(se, nil))
+				}
+				for i := range mem {
+					if !bytes.Equal(mem[i], se[i]) {
+						t.Errorf("%s γ=%d limit=%d line %d:\nmemory  %s\nsemiext %s", mode, gamma, limit, i+1, mem[i], se[i])
+					}
+				}
+			}
+		}
 	}
 }

@@ -40,16 +40,12 @@ func (s *Mem) Graph() *graph.Graph { return s.g }
 // scratch state.
 func (s *Mem) Pool() *core.Pool { return s.pool }
 
+// Pin returns the store's pool at epoch 0: the graph never changes.
+func (s *Mem) Pin() (core.Searcher, uint64) { return s.pool, 0 }
+
 // TopK answers a query on a pooled engine; equivalent to core.TopKCtx.
 func (s *Mem) TopK(ctx context.Context, k int, gamma int32, opts core.Options) (*core.Result, error) {
 	return s.pool.TopK(ctx, k, gamma, opts)
-}
-
-// Stream answers a progressive query with a pooled engine; equivalent to
-// core.StreamCtx. Streaming needs random access to the whole graph, so it
-// lives on the concrete in-memory type rather than the Store interface.
-func (s *Mem) Stream(ctx context.Context, gamma int32, opts core.Options, yield func(*core.Community) bool) (core.Stats, error) {
-	return s.pool.Stream(ctx, gamma, opts, yield)
 }
 
 // Close is a no-op: the graph is owned by the caller.

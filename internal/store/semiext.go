@@ -115,21 +115,52 @@ func (s *SemiExt) Path() string { return s.path }
 // Graph returns nil: the backend never holds the whole graph.
 func (s *SemiExt) Graph() *graph.Graph { return nil }
 
+// Pin returns the store itself at epoch 0: the edge file never changes.
+func (s *SemiExt) Pin() (core.Searcher, uint64) { return s, 0 }
+
 // TopK answers a query through the generic LocalSearch driver over the
 // shared view. Communities and access statistics are identical to an
 // in-memory query over the same graph.
 func (s *SemiExt) TopK(ctx context.Context, k int, gamma int32, opts core.Options) (*core.Result, error) {
-	// Pin the store before re-checking closed: Close only releases the
-	// mapping once the reference count drains, so a query that got its
-	// reference in can never observe a dead mapping.
+	src, err := s.checkout()
+	if err != nil {
+		return nil, err
+	}
+	defer s.checkin(src)
+	return core.TopKOver(ctx, src, k, gamma, opts)
+}
+
+// Stream answers a progressive query (LocalSearch-P) over the shared view:
+// each round decodes only the prefix the stream has grown to, so a stream
+// stopped after its first communities reads only as far into the edge
+// file as they need. Communities and access statistics are identical to
+// an in-memory stream over the same graph.
+func (s *SemiExt) Stream(ctx context.Context, gamma int32, opts core.Options, yield func(*core.Community) bool) (core.Stats, error) {
+	src, err := s.checkout()
+	if err != nil {
+		return core.Stats{}, err
+	}
+	defer s.checkin(src)
+	return core.StreamOver(ctx, src, gamma, opts, yield)
+}
+
+// checkout pins the store for one query and checks a pooled source out
+// for it; checkin returns both. The store is pinned before closed is
+// re-checked: Close only releases the mapping once the reference count
+// drains, so a query that got its reference in can never observe a dead
+// mapping.
+func (s *SemiExt) checkout() (*semiext.Source, error) {
 	s.refs.Add(1)
-	defer s.release()
 	if s.closed.Load() {
+		s.release()
 		return nil, fmt.Errorf("store: %s is closed", s.path)
 	}
-	src := s.srcPool.Get().(*semiext.Source)
-	defer s.putSource(src)
-	return core.TopKOver(ctx, src, k, gamma, opts)
+	return s.srcPool.Get().(*semiext.Source), nil
+}
+
+func (s *SemiExt) checkin(src *semiext.Source) {
+	s.putSource(src)
+	s.release()
 }
 
 // maxPooledScratchBytes caps how much decode and CSR scratch a pooled

@@ -1,11 +1,13 @@
 // Package store abstracts where a weight-ranked graph lives behind one
-// query interface. Two backends implement it: Mem serves a fully in-memory
-// graph.Graph through a pooled engine, and SemiExt serves the semi-external
-// on-disk edge files of internal/semiext, keeping only O(n) per-vertex
-// state resident and decoding edge prefixes on demand. A query routed
-// through a Store therefore runs identically — same communities, same
-// access statistics — whether the graph fits in RAM or not; the serving
-// layer picks backends per dataset without touching query code.
+// query interface. Three backends implement it: Mem serves a fully
+// in-memory graph.Graph through a pooled engine, SemiExt serves the
+// semi-external on-disk edge files of internal/semiext, keeping only O(n)
+// per-vertex state resident and decoding edge prefixes on demand, and the
+// mutable backend (OpenMutable) serves copy-on-write snapshots of a graph
+// that accepts online edge updates. A query routed through a Store
+// therefore runs identically — same communities, same access statistics —
+// whether the graph fits in RAM or not; the serving layer picks backends
+// per dataset without touching query code.
 package store
 
 import (
@@ -19,7 +21,8 @@ import (
 // Store is one graph behind a backend-agnostic query interface. Stores are
 // safe for concurrent use.
 type Store interface {
-	// Backend names the implementation: "memory" or "semiext".
+	// Backend names the implementation: "memory", "semiext" or
+	// "mutable".
 	Backend() string
 
 	// NumVertices returns the vertex count of the backing graph.
@@ -31,6 +34,14 @@ type Store interface {
 	// TopK answers a top-k influential γ-community query with LocalSearch
 	// semantics; results are identical across backends for the same graph.
 	TopK(ctx context.Context, k int, gamma int32, opts core.Options) (*core.Result, error)
+
+	// Pin reads the store's current snapshot once: the Searcher every
+	// query of one request runs on, and the snapshot epoch it belongs to
+	// (0 for immutable backends). Updates published after Pin do not
+	// reach the pinned Searcher, so a request that keys its cache entries,
+	// shared work and derived indexes by the epoch answers from exactly
+	// that snapshot.
+	Pin() (core.Searcher, uint64)
 
 	// Graph returns the fully in-memory graph when the backend holds one,
 	// and nil otherwise. Features that need whole-graph access — truss

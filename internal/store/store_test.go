@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -221,6 +222,83 @@ func TestSemiExtMixedDepthConcurrent(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestSemiExtStreamParallel streams from 8 goroutines at once over one
+// semi-external store per edge-file format, with mixed γ, limits and
+// semantics. Each stream runs LocalSearch-P on a pooled source whose
+// decode and CSR scratch the next query reuses, and must equal the
+// in-memory stream of the same graph: every community, and the Stats.
+// The determinism job runs it under -race across GOMAXPROCS.
+func TestSemiExtStreamParallel(t *testing.T) {
+	g := gen.Random(400, 6, 31)
+	mem, err := OpenMem(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type streamCase struct {
+		gamma int32
+		limit int
+		opts  core.Options
+	}
+	var cases []streamCase
+	for _, gamma := range []int32{2, 3, 4} {
+		for _, limit := range []int{1, 5, 40, 1000} {
+			cases = append(cases,
+				streamCase{gamma, limit, core.Options{}},
+				streamCase{gamma, limit, core.Options{NonContainment: true}})
+		}
+	}
+	stream := func(st Store, sc streamCase) (string, error) {
+		search, _ := st.Pin()
+		var b strings.Builder
+		n := 0
+		stats, err := search.Stream(context.Background(), sc.gamma, sc.opts, func(c *core.Community) bool {
+			fmt.Fprintf(&b, "%v key=%d %v\n", c.Influence(), c.Keynode(), c.Vertices())
+			n++
+			return n < sc.limit
+		})
+		fmt.Fprintf(&b, "%+v\n", stats)
+		return b.String(), err
+	}
+	refs := make([]string, len(cases))
+	for i, sc := range cases {
+		if refs[i], err = stream(mem, sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, format := range []int{semiext.FormatV1, semiext.FormatV2} {
+		se, err := OpenEdgeFile(writeEdgeFileFormat(t, g, format))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		errs := make(chan error, 8)
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := range cases {
+					j := (w*5 + i) % len(cases)
+					got, err := stream(se, cases[j])
+					if err != nil {
+						errs <- err
+						return
+					}
+					if got != refs[j] {
+						errs <- fmt.Errorf("v%d %+v: semi-external stream differs from memory\n got %s\nwant %s", format, cases[j], got, refs[j])
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+		se.Close()
 	}
 }
 

@@ -14,11 +14,13 @@ import (
 // the brute-force references on small graphs decoded from raw bytes:
 // core.TopK under both core semantics against NaiveTopK and
 // NaiveNonContainment, Pool.TopK and the progressive Stream against TopK,
-// under core semantics two queries of different k on one prebuilt index
-// against NaiveTopK (the second runs on the recycled pooled enumeration
-// state), and for γ ≥ 2 the truss LocalSearch and Stream against
-// truss.NaiveTopK, across δ ∈ {default, 1.5, 3}. Every Stats must account
-// its final prefix.
+// StreamOver and TopKOver over a source that materializes a fresh graph
+// every round (as semi-external sources do) against Stream and TopK,
+// Stats included, under core semantics two queries of different k on one
+// prebuilt index against NaiveTopK (the second runs on the recycled pooled
+// enumeration state), and for γ ≥ 2 the truss LocalSearch and Stream
+// against truss.NaiveTopK, across δ ∈ {default, 1.5, 3}. Every Stats must
+// account its final prefix.
 func FuzzSearch(f *testing.F) {
 	k5 := []byte{0, 1, 0, 2, 0, 3, 0, 4, 1, 2, 1, 3, 1, 4, 2, 3, 2, 4, 3, 4}
 	f.Add(k5, uint8(4), uint8(1), uint8(2), uint8(0))
@@ -99,6 +101,35 @@ func FuzzSearch(f *testing.F) {
 		sameKeys(t, name+" Stream vs TopK", streamed, got)
 		accounted(t, name+" Stream", g, st)
 
+		// Every round of a fresh source hands the drivers a new graph in
+		// reused scratch: each graph needs its own engine, and
+		// LocalSearch-P's enumeration state must carry across them.
+		fresh := newFreshSource(g)
+		var overStreamed []string
+		ost, err := core.StreamOver(context.Background(), fresh, gamma, opts, func(c *core.Community) bool {
+			overStreamed = append(overStreamed, fmt.Sprint(c.Keynode(), c.Vertices()))
+			return len(overStreamed) < k
+		})
+		if err != nil {
+			t.Fatalf("%s: StreamOver: %v", name, err)
+		}
+		sameKeys(t, name+" StreamOver vs TopK", overStreamed, got)
+		if ost != st {
+			t.Fatalf("%s: StreamOver stats %+v, Stream %+v", name, ost, st)
+		}
+		over, err := core.TopKOver(context.Background(), fresh, k, gamma, opts)
+		if err != nil {
+			t.Fatalf("%s: TopKOver: %v", name, err)
+		}
+		if over.Stats != res.Stats {
+			t.Fatalf("%s: TopKOver stats %+v, TopK %+v", name, over.Stats, res.Stats)
+		}
+		overKeys := make([]string, len(over.Communities))
+		for i, c := range over.Communities {
+			overKeys[i] = fmt.Sprint(c.Keynode(), c.Vertices())
+		}
+		sameKeys(t, name+" TopKOver vs TopK", overKeys, got)
+
 		if !opts.NonContainment {
 			// The index enumerates over the whole graph (c.P = n), where
 			// EnumIC's scan bound cuts the most.
@@ -154,6 +185,29 @@ func FuzzSearch(f *testing.F) {
 			t.Fatalf("%s: truss Stream stopped at prefix %d of %d", name, p, g.NumVertices())
 		}
 	})
+}
+
+// freshSource is a core.SearchSource that materializes every prefix [0, p)
+// as a new graph assembled in one reused scratch, exactly as
+// semiext.Source does, so a graph from an earlier round is overwritten by
+// the next one.
+type freshSource struct {
+	*graph.Graph
+	upDeg, upAdj []int32
+	scratch      graph.PrefixScratch
+}
+
+func newFreshSource(g *graph.Graph) *freshSource {
+	s := &freshSource{Graph: g}
+	for u := int32(0); int(u) < g.NumVertices(); u++ {
+		s.upDeg = append(s.upDeg, g.UpDegree(u))
+		s.upAdj = append(s.upAdj, g.UpNeighbors(u)...)
+	}
+	return s
+}
+
+func (s *freshSource) Materialize(p int) (*graph.Graph, error) {
+	return graph.FromUpAdjacency(s.Weights()[:p], s.upDeg[:p], s.upAdj[:s.PrefixEdges(p)], &s.scratch)
 }
 
 func sameKeys(t *testing.T, what string, got, want []string) {

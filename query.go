@@ -2,9 +2,7 @@ package influcomm
 
 import (
 	"context"
-	"errors"
-	"strconv"
-	"strings"
+	"fmt"
 
 	"influcomm/internal/cluster"
 	"influcomm/internal/core"
@@ -64,7 +62,9 @@ type QueryStatement struct {
 // planned into fixed-shape nodes (one per γ × semantics combination);
 // identical nodes across the batch are computed once, and seed-scoped
 // near statements additionally share one distance reweighting per seed
-// set. Results come back per statement, in input order.
+// set. Each node runs through the same executor as a server's /v1/query,
+// so its communities are byte-identical (in JSON form) to the server's.
+// Results come back per statement, in input order.
 func RunQuery(ctx context.Context, g *Graph, src string) ([]QueryStatement, error) {
 	q, err := query.Parse(src)
 	if err != nil {
@@ -79,19 +79,37 @@ func RunQuery(ctx context.Context, g *Graph, src string) ([]QueryStatement, erro
 	for i, st := range q.Statements {
 		out[i].Statement = st.String()
 	}
+	pool := core.NewPool(g)
+	var trussIx *truss.Index                        // built on the batch's first truss node
 	searched := make(map[string][]ClusterCommunity) // node key -> rendered answer
-	reweighted := make(map[string]*Graph)           // seed-set key -> reweighted graph
+	reweighted := make(map[string]*core.Pool)       // seed-set key -> pool over the reweighted graph
 	for _, n := range nodes {
-		comms, shared := searched[n.Key], false
-		if comms != nil {
-			shared = true
-		} else {
-			comms, err = runQueryNode(ctx, g, n, reweighted)
-			if err != nil {
-				return nil, err
+		comms, shared := searched[n.Key]
+		if !shared {
+			t := query.Target{Search: pool}
+			switch {
+			case !n.FixedShape():
+				key := fmt.Sprint(n.Seeds) // canonical: sorted, deduplicated
+				if reweighted[key] == nil {
+					rw, err := queryweight.Reweight(g, n.Seeds)
+					if err != nil {
+						return nil, err
+					}
+					reweighted[key] = core.NewPool(rw)
+				}
+				t.Search = reweighted[key]
+			case n.Mode == query.SemTruss:
+				if trussIx == nil {
+					trussIx = truss.NewIndex(g)
+				}
+				t.Truss = trussIx
 			}
-			if comms == nil {
-				comms = []ClusterCommunity{} // cache a miss-proof non-nil empty answer
+			rg := t.Search.Graph()
+			if _, _, err := query.Exec(ctx, t, n, false, func(c query.Community) bool {
+				comms = append(comms, cluster.Render(rg, c.Influence(), c.Keynode(), c.Vertices()))
+				return true
+			}); err != nil {
+				return nil, err
 			}
 			searched[n.Key] = comms
 		}
@@ -104,61 +122,4 @@ func RunQuery(ctx context.Context, g *Graph, src string) ([]QueryStatement, erro
 		})
 	}
 	return out, nil
-}
-
-// runQueryNode executes one plan node against g, reusing (and filling)
-// the per-batch reweighting cache for near nodes.
-func runQueryNode(ctx context.Context, g *Graph, n query.Node, reweighted map[string]*Graph) ([]ClusterCommunity, error) {
-	target := g
-	if len(n.Seeds) > 0 {
-		key := seedsKey(n.Seeds)
-		rw := reweighted[key]
-		if rw == nil {
-			var err error
-			rw, err = queryweight.Reweight(g, n.Seeds)
-			if err != nil {
-				return nil, err
-			}
-			reweighted[key] = rw
-		}
-		target = rw
-	}
-
-	var comms []ClusterCommunity
-	if n.Mode == query.SemTruss {
-		if n.Gamma < 2 {
-			return nil, errors.New("truss queries need gamma >= 2")
-		}
-		res, err := truss.LocalSearchCtx(ctx, truss.NewIndex(target), n.K, n.Gamma)
-		if err != nil {
-			return nil, err
-		}
-		for _, c := range res.Communities {
-			comms = append(comms, cluster.Render(target, c.Influence(), c.Keynode(), c.Vertices()))
-		}
-		return comms, nil
-	}
-	res, err := core.TopKCtx(ctx, target, n.K, n.Gamma, core.Options{
-		NonContainment: n.Mode == query.SemNonContainment,
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range res.Communities {
-		comms = append(comms, cluster.Render(target, c.Influence(), c.Keynode(), c.Vertices()))
-	}
-	return comms, nil
-}
-
-// seedsKey canonicalizes a (sorted, deduplicated) seed set into a cache
-// key for the reweighting it determines.
-func seedsKey(seeds []int32) string {
-	var b strings.Builder
-	for i, s := range seeds {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(int(s)))
-	}
-	return b.String()
 }
