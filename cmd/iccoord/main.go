@@ -33,9 +33,10 @@
 // wire protocol, and why the merged answers are byte-identical to serving
 // the unpartitioned graph on one node.
 //
-// A shard attempt that fails or exceeds -shard-timeout fails over to the
-// next replica. When a shard exhausts its replicas (after -shard-retries
-// extra backed-off passes), the query fails (the default, strict mode) or —
+// A shard attempt fails over to the next replica when it fails, or when
+// its open, or a later read the merge waits on, exceeds -shard-timeout.
+// When a shard exhausts its replicas (after -shard-retries extra
+// backed-off passes), the query fails (the default, strict mode) or —
 // with -partial — degrades: the answer covers the surviving shards and is
 // marked "partial": true with the dropped shards listed in "failed_shards".
 //
@@ -153,7 +154,7 @@ func main() {
 		return nil
 	})
 	flag.IntVar(&cfg.maxK, "maxk", 10000, "largest k a single request may ask for")
-	flag.DurationVar(&cfg.shardTimeout, "shard-timeout", 10*time.Second, "per-shard attempt deadline before failover (0 = coordinator default, 30s)")
+	flag.DurationVar(&cfg.shardTimeout, "shard-timeout", 10*time.Second, "per-shard deadline before failover, on the open and on each read the merge waits on (0 = coordinator default, 30s)")
 	flag.BoolVar(&cfg.partial, "partial", false, "serve degraded results from surviving shards when a shard exhausts its replicas (default: fail the query)")
 	flag.DurationVar(&cfg.probeInterval, "probe-interval", 2*time.Second, "replica health-probe period (0 = no active probing)")
 	flag.DurationVar(&cfg.probeTimeout, "probe-timeout", time.Second, "health-probe deadline (0 = coordinator default, 1s)")

@@ -47,8 +47,11 @@
 // Datasets can also be loaded and unloaded at runtime
 // through the admin endpoints — protect those with -admin-token (or keep
 // the port private): they can unload live datasets and open server-side
-// files. Repeated identical queries are answered
-// from an LRU result cache (-cache entries, 0 disables).
+// files. Identical queries on one dataset snapshot — /v1/topk requests
+// and /v1/query plan nodes alike — run once, and each dataset's memo keeps
+// the newest snapshot's answers for reuse (-cache answers per dataset,
+// least recently used evicted; 0 keeps no memo, only joins of concurrent
+// identical queries).
 //
 // With -index (or a per-dataset index= option), a prebuilt index file
 // (see icindex) is loaded and validated against the graph at startup;
@@ -200,7 +203,7 @@ func main() {
 		cfg.datasets = append(cfg.datasets, d)
 		return nil
 	})
-	flag.IntVar(&cfg.cacheSize, "cache", 256, "query-result cache entries (0 disables)")
+	flag.IntVar(&cfg.cacheSize, "cache", 256, "per-dataset memo capacity in answers (0 = no memo, only concurrent joins)")
 	flag.StringVar(&cfg.adminToken, "admin-token", "", "bearer token required on /v1/admin endpoints (empty = open; keep the port private)")
 	flag.IntVar(&cfg.maxK, "maxk", 10000, "largest k a single request may ask for")
 	flag.IntVar(&cfg.maxInFlight, "max-inflight", 0, "concurrent query limit, 503 beyond it (0 = 4×GOMAXPROCS, -1 = unlimited)")

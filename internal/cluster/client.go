@@ -10,6 +10,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // shardStream is one open NDJSON stream from a shard replica: the header has
@@ -18,6 +19,13 @@ type shardStream struct {
 	header StreamHeader
 	body   io.ReadCloser
 	sc     *bufio.Scanner
+	// ctx is the attempt's context, and Close cancels it. deadline, when
+	// set, cancels it if one Next outlasts timeout; it runs only while
+	// Next reads, never while the stream waits for its reader.
+	ctx      context.Context
+	cancel   context.CancelCauseFunc
+	deadline *time.Timer
+	timeout  time.Duration
 }
 
 // maxLineBytes bounds a single stream line. Community lines grow with
@@ -28,7 +36,8 @@ const maxLineBytes = 16 << 20
 // Every failure before the header — connection refused, non-200 status, a
 // malformed or missing header — is an open-time failure: nothing from this
 // replica has been consumed, so the caller can fail over to the next replica
-// without disturbing an in-progress merge.
+// without disturbing an in-progress merge. A 400 comes back as a
+// *RequestError: the shard refused the request, not for its own health.
 func openStream(ctx context.Context, client *http.Client, base, dataset, mode string, gamma int32, limit int) (*shardStream, error) {
 	v := url.Values{}
 	v.Set("gamma", strconv.Itoa(int(gamma)))
@@ -49,7 +58,11 @@ func openStream(ctx context.Context, client *http.Client, base, dataset, mode st
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
 		resp.Body.Close()
-		return nil, fmt.Errorf("cluster: %s returned %d: %s", base, resp.StatusCode, strings.TrimSpace(string(msg)))
+		err := fmt.Errorf("cluster: %s returned %d: %s", base, resp.StatusCode, strings.TrimSpace(string(msg)))
+		if resp.StatusCode == http.StatusBadRequest {
+			return nil, &RequestError{err}
+		}
+		return nil, err
 	}
 	ss := &shardStream{body: resp.Body, sc: bufio.NewScanner(resp.Body)}
 	ss.sc.Buffer(make([]byte, 64*1024), maxLineBytes)
@@ -86,6 +99,10 @@ func (ss *shardStream) next() (*StreamLine, error) {
 // ends without a trailer — the connection dropped, or the shard sent an
 // error line — is reported as an error: the trailer is the integrity check.
 func (ss *shardStream) Next() (*Community, *StreamTrailer, error) {
+	if ss.deadline != nil {
+		ss.deadline.Reset(ss.timeout)
+		defer ss.deadline.Stop()
+	}
 	line, err := ss.next()
 	if err != nil {
 		if err == io.ErrUnexpectedEOF {
@@ -105,7 +122,10 @@ func (ss *shardStream) Next() (*Community, *StreamTrailer, error) {
 	}
 }
 
-// Close releases the underlying connection. Closing before the trailer
-// cancels the shard-side search — this is how the coordinator's early
-// termination propagates.
-func (ss *shardStream) Close() error { return ss.body.Close() }
+// Close releases the underlying connection and the attempt's context.
+// Closing before the trailer cancels the shard-side search — this is how
+// the coordinator's early termination propagates.
+func (ss *shardStream) Close() error {
+	defer ss.cancel(nil)
+	return ss.body.Close()
+}

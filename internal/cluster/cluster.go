@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -47,7 +48,9 @@ type Result struct {
 // Option configures a Coordinator.
 type Option func(*Coordinator)
 
-// WithShardTimeout bounds each shard attempt (connect through trailer). A
+// WithShardTimeout bounds each shard attempt's open (connect through the
+// stream header) and then each read of the open stream. The time a stream
+// waits, unread, while the merge pulls from other shards does not count. A
 // replica that exceeds it is treated exactly like a failed one: the
 // coordinator fails over to the next replica, and past the last replica the
 // shard is dropped (partial mode) or the query errors (strict mode).
@@ -302,6 +305,26 @@ func (c *Coordinator) Stats() Stats {
 	}
 }
 
+// RequestError is a query refused as the client's fault rather than any
+// replica's: a malformed batch, an out-of-range parameter, or every
+// replica of a shard answering 400. It trips no breaker, fails the query
+// even in partial mode, and iccoord answers it with 400.
+type RequestError struct{ Err error }
+
+func (e *RequestError) Error() string { return e.Err.Error() }
+func (e *RequestError) Unwrap() error { return e.Err }
+
+// badRequest returns a *RequestError with a formatted message.
+func badRequest(format string, args ...any) error {
+	return &RequestError{fmt.Errorf(format, args...)}
+}
+
+// isRequestError reports whether err is, or wraps, a *RequestError.
+func isRequestError(err error) bool {
+	var re *RequestError
+	return errors.As(err, &re)
+}
+
 // TopK runs one scatter-gather query: the global top-k influential
 // communities for gamma under mode (ModeCore, ModeNonContainment, or
 // ModeTruss), over dataset (empty for each shard's default). Each shard
@@ -324,17 +347,21 @@ func (c *Coordinator) TopK(ctx context.Context, dataset string, k int, gamma int
 
 func (c *Coordinator) topK(ctx context.Context, dataset string, k int, gamma int32, mode string) (*Result, error) {
 	if k < 1 {
-		return nil, fmt.Errorf("cluster: k must be >= 1")
+		return nil, badRequest("cluster: k must be >= 1")
 	}
 	if gamma < 1 {
-		return nil, fmt.Errorf("cluster: gamma must be >= 1")
+		return nil, badRequest("cluster: gamma must be >= 1")
 	}
 	switch mode {
 	case "":
 		mode = ModeCore
 	case ModeCore, ModeNonContainment, ModeTruss:
 	default:
-		return nil, fmt.Errorf("cluster: unknown mode %q", mode)
+		return nil, badRequest("cluster: unknown mode %q", mode)
+	}
+	if mode == ModeTruss && gamma < 2 {
+		// Every shard would refuse it; refuse it before the scatter.
+		return nil, badRequest("cluster: truss queries need gamma >= 2")
 	}
 
 	// The attempt plan — health-ranked replica order times retry passes —
@@ -400,32 +427,53 @@ func send(ctx context.Context, out chan<- shardItem, it shardItem) bool {
 	}
 }
 
-// openResult is one resolved shard-open attempt: an open stream plus the
-// attempt context that bounds its whole life, or an error. pos is the plan
-// position that actually served (a winning hedge moves it forward).
+// openResult is one resolved shard-open attempt: an open stream or an
+// error. pos is the plan position that actually served (a winning hedge
+// moves it forward).
 type openResult struct {
-	ss     *shardStream
-	sctx   context.Context
-	cancel context.CancelFunc
-	pos    int
-	err    error
+	ss  *shardStream
+	pos int
+	err error
 }
 
+// errGatherDone cancels a gather's shard attempts once it needs them no
+// more: the merge finished, or another shard ended the query.
+var errGatherDone = errors.New("cluster: gather done")
+
+// abandoned reports whether an attempt under the gather context ctx ended
+// because the gather no longer needed it, which says nothing about the
+// replica. The caller's deadline or disconnect does count: a replica that
+// stalls past the caller's budget has failed the query.
+func abandoned(ctx context.Context) bool { return errors.Is(context.Cause(ctx), errGatherDone) }
+
 // openAttempt opens the stream for plan[pos], feeding the replica's
-// breaker and latency score with the outcome.
+// breaker and latency score with the outcome. Neither a *RequestError
+// (the replica refused the request as malformed) nor an abandoned attempt
+// is the replica's failure. The shard timeout cancels the attempt
+// if the open, or later one Next, outlasts it. It does not run while the
+// open stream waits for the merge: the merge pulls shards in turn, and a
+// healthy stream must survive the merge's wait on a slower one.
 func (c *Coordinator) openAttempt(ctx context.Context, si int, dataset string, plan []attempt, pos, limit int, gamma int32, mode string) openResult {
 	rep := c.reps[si][plan[pos].rep]
-	sctx, cancel := context.WithTimeout(ctx, c.shardTimeout)
+	sctx, cancel := context.WithCancelCause(ctx)
+	deadline := time.AfterFunc(c.shardTimeout, func() { cancel(context.DeadlineExceeded) })
 	start := time.Now()
 	ss, err := openStream(sctx, c.client, rep.url, dataset, mode, gamma, limit)
+	deadline.Stop()
 	if err != nil {
-		cancel()
-		rep.br.failure(time.Now())
+		if context.Cause(sctx) == context.DeadlineExceeded {
+			err = fmt.Errorf("cluster: %s: %w", rep.url, context.DeadlineExceeded)
+		}
+		cancel(nil)
+		if !isRequestError(err) && !abandoned(ctx) {
+			rep.br.failure(time.Now())
+		}
 		return openResult{pos: pos, err: err}
 	}
 	rep.br.success()
 	rep.observe(time.Since(start))
-	return openResult{ss: ss, sctx: sctx, cancel: cancel, pos: pos}
+	ss.ctx, ss.cancel, ss.deadline, ss.timeout = sctx, cancel, deadline, c.shardTimeout
+	return openResult{ss: ss, pos: pos}
 }
 
 // discardOpen drains a losing hedge attempt in the background, closing
@@ -435,9 +483,6 @@ func discardOpen(ch <-chan openResult) {
 		r := <-ch
 		if r.ss != nil {
 			r.ss.Close()
-		}
-		if r.cancel != nil {
-			r.cancel()
 		}
 	}()
 }
@@ -511,7 +556,11 @@ func (c *Coordinator) openWithHedge(ctx context.Context, si int, dataset string,
 // merge. Once a header is delivered the stream is committed: a later
 // failure is reported as an err item and the merge decides whether a full
 // restart is needed. Replicas whose breaker is open (and not yet due a
-// trial) are skipped without costing a timeout.
+// trial) are skipped without costing a timeout. A replica's 400 costs no
+// breaker failure, and the walk fails over and never asks it again: the
+// refusal may be that replica's configuration (a semi-external backend
+// refusing truss, a lower -maxk). Only if every replica in the walk
+// refused is the request at fault, reported as a *RequestError.
 func (c *Coordinator) readShard(ctx context.Context, si int, dataset string, plan []attempt, start, limit int, gamma int32, mode string, out chan<- shardItem) {
 	sh := c.shards[si]
 	if sh.Dataset != "" {
@@ -519,12 +568,18 @@ func (c *Coordinator) readShard(ctx context.Context, si int, dataset string, pla
 	}
 	var lastErr error
 	attempted := false
+	refused := make([]bool, len(c.reps[si])) // replicas that answered 400
+	allRefused := true
 	for pos := start; pos < len(plan); pos++ {
+		if refused[plan[pos].rep] {
+			continue // it would refuse again
+		}
 		rep := c.reps[si][plan[pos].rep]
 		if !rep.br.admit(time.Now()) {
 			if lastErr == nil {
 				lastErr = fmt.Errorf("replica %s: circuit breaker open", rep.url)
 			}
+			allRefused = false
 			continue
 		}
 		if attempted {
@@ -542,13 +597,14 @@ func (c *Coordinator) readShard(ctx context.Context, si int, dataset string, pla
 		r := c.openWithHedge(ctx, si, dataset, plan, pos, limit, gamma, mode)
 		if r.err != nil {
 			lastErr = r.err
+			refused[plan[pos].rep] = isRequestError(r.err)
+			allRefused = allRefused && refused[plan[pos].rep]
 			continue
 		}
 		pos = r.pos // a winning hedge may have advanced the plan position
 		rep = c.reps[si][plan[pos].rep]
 		if !send(ctx, out, shardItem{header: &r.ss.header, pos: pos}) {
 			r.ss.Close()
-			r.cancel()
 			return
 		}
 		for {
@@ -556,10 +612,12 @@ func (c *Coordinator) readShard(ctx context.Context, si int, dataset string, pla
 			var it shardItem
 			switch {
 			case err != nil:
-				if r.sctx.Err() != nil {
-					err = fmt.Errorf("shard %q replica %s: %w", sh.Name, rep.url, r.sctx.Err())
+				if r.ss.ctx.Err() != nil {
+					err = fmt.Errorf("shard %q replica %s: %w", sh.Name, rep.url, context.Cause(r.ss.ctx))
 				}
-				rep.br.failure(time.Now())
+				if !abandoned(ctx) {
+					rep.br.failure(time.Now())
+				}
 				it = shardItem{err: err, pos: pos}
 			case trailer != nil:
 				it = shardItem{trailer: trailer, pos: pos}
@@ -569,13 +627,20 @@ func (c *Coordinator) readShard(ctx context.Context, si int, dataset string, pla
 			ok := send(ctx, out, it)
 			if !ok || it.comm == nil {
 				r.ss.Close()
-				r.cancel()
 				return
 			}
 		}
 	}
 	if lastErr == nil {
 		lastErr = fmt.Errorf("no replicas configured")
+	}
+	var re *RequestError
+	if errors.As(lastErr, &re) {
+		if allRefused {
+			send(ctx, out, shardItem{err: fmt.Errorf("shard %q: %w", sh.Name, lastErr), pos: len(plan)})
+			return
+		}
+		lastErr = re.Err // refused by some replicas only: the shard failed
 	}
 	send(ctx, out, shardItem{
 		err: fmt.Errorf("shard %q: all replicas failed: %w", sh.Name, lastErr),
@@ -589,8 +654,8 @@ func (c *Coordinator) readShard(ctx context.Context, si int, dataset string, pla
 // to resume from. Terminal errors (bad context, strict-mode failure
 // discovered before any consumption) come back as err.
 func (c *Coordinator) gather(ctx context.Context, dataset string, k int, gamma int32, mode string, plans [][]attempt, cursors []int, dead []bool) (res *Result, failIdx, failCursor int, err error) {
-	gctx, cancel := context.WithCancel(ctx)
-	defer cancel() // closes surviving streams -> shards cancel their searches
+	gctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(errGatherDone) // closes surviving streams -> shards cancel their searches
 
 	n := len(c.shards)
 	chans := make([]chan shardItem, n)
@@ -621,6 +686,10 @@ func (c *Coordinator) gather(ctx context.Context, dataset string, k int, gamma i
 	// from the next plan position; otherwise the shard can be dropped (or
 	// the query failed) in place without disturbing the merge.
 	fail := func(i int, it shardItem) (restartAt int, err error) {
+		if isRequestError(it.err) {
+			// No other replica or partial answer can mend a bad request.
+			return -1, it.err
+		}
 		if consumed[i] > 0 {
 			return it.pos + 1, nil
 		}

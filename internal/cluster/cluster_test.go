@@ -43,6 +43,33 @@ func clusterTestGraph(t *testing.T) *graph.Graph {
 	return graph.MustFromEdges(weights, edges)
 }
 
+// labelledTestGraph is two K4s and a 5-ring whose labels hold the
+// characters JSON encoders may escape (&, <, >), so byte identity covers
+// how each front encodes labels.
+func labelledTestGraph(t *testing.T) *graph.Graph {
+	t.Helper()
+	var b graph.Builder
+	labels := []string{"R&D <lab>", "a>b", "x&y", "<root>", "Q&A", "1<2", "3>2", "&amp;", "<>", "&&", "p<q>r", "s&t", "u>v"}
+	for i, l := range labels {
+		b.AddLabeledVertex(int32(i), float64((i*5)%7+1), l)
+	}
+	for _, base := range []int32{0, 4} {
+		for u := base; u < base+4; u++ {
+			for v := u + 1; v < base+4; v++ {
+				b.AddEdge(u, v)
+			}
+		}
+	}
+	for i := int32(0); i < 5; i++ {
+		b.AddEdge(8+i, 8+(i+1)%5)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // shardServers partitions g into n shards, serves each from its own
 // httptest server, and returns the coordinator topology.
 func shardServers(t *testing.T, g *graph.Graph, n int) []cluster.Shard {
@@ -99,42 +126,50 @@ func modeFlag(mode string) string {
 // TestCoordinatorMatchesSingleNode is the tier's core property: for every
 // (k, γ, mode) in the matrix, the coordinator's merged answer over a
 // partitioned deployment is byte-identical to one node serving the
-// unpartitioned graph.
+// unpartitioned graph, through the library and through iccoord's HTTP
+// front alike, on an unlabelled and a labelled graph.
 func TestCoordinatorMatchesSingleNode(t *testing.T) {
-	g := clusterTestGraph(t)
-	s, err := server.New(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single := httptest.NewServer(s)
-	defer single.Close()
+	for name, g := range map[string]*graph.Graph{"unlabelled": clusterTestGraph(t), "labelled": labelledTestGraph(t)} {
+		s, err := server.New(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		single := httptest.NewServer(s)
+		defer single.Close()
 
-	coord, err := cluster.NewCoordinator(shardServers(t, g, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []string{cluster.ModeCore, cluster.ModeNonContainment, cluster.ModeTruss} {
-		for _, gamma := range []int32{2, 3, 4} {
-			for _, k := range []int{1, 2, 5, 100} {
-				res, err := coord.TopK(context.Background(), "", k, gamma, mode)
-				if err != nil {
-					t.Fatalf("%s k=%d γ=%d: %v", mode, k, gamma, err)
-				}
-				if res.Partial {
-					t.Fatalf("%s k=%d γ=%d: unexpected partial result", mode, k, gamma)
-				}
-				got, err := json.Marshal(res.Communities)
-				if err != nil {
-					t.Fatal(err)
-				}
-				url := fmt.Sprintf("%s/v1/topk?k=%d&gamma=%d%s", single.URL, k, gamma, modeFlag(mode))
-				want := singleCommunities(t, url)
-				if string(got) != string(want) {
-					t.Errorf("%s k=%d γ=%d:\ncluster %s\nsingle  %s", mode, k, gamma, got, want)
-				}
-				// γ=2 must produce real communities, or the matrix is vacuous.
-				if gamma == 2 && k == 100 && len(res.Communities) == 0 {
-					t.Fatalf("%s γ=2: no communities at all", mode)
+		coord, err := cluster.NewCoordinator(shardServers(t, g, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		front := httptest.NewServer(cluster.NewHandler(coord, 1000))
+		defer front.Close()
+		for _, mode := range []string{cluster.ModeCore, cluster.ModeNonContainment, cluster.ModeTruss} {
+			for _, gamma := range []int32{2, 3, 4} {
+				for _, k := range []int{1, 2, 5, 100} {
+					res, err := coord.TopK(context.Background(), "", k, gamma, mode)
+					if err != nil {
+						t.Fatalf("%s %s k=%d γ=%d: %v", name, mode, k, gamma, err)
+					}
+					if res.Partial {
+						t.Fatalf("%s %s k=%d γ=%d: unexpected partial result", name, mode, k, gamma)
+					}
+					got, err := json.Marshal(res.Communities)
+					if err != nil {
+						t.Fatal(err)
+					}
+					url := fmt.Sprintf("%s/v1/topk?k=%d&gamma=%d%s", single.URL, k, gamma, modeFlag(mode))
+					want := singleCommunities(t, url)
+					if string(got) != string(want) {
+						t.Errorf("%s %s k=%d γ=%d:\ncluster %s\nsingle  %s", name, mode, k, gamma, got, want)
+					}
+					viaFront := singleCommunities(t, fmt.Sprintf("%s/v1/topk?k=%d&gamma=%d&mode=%s", front.URL, k, gamma, mode))
+					if string(viaFront) != string(want) {
+						t.Errorf("%s %s k=%d γ=%d:\niccoord %s\nsingle  %s", name, mode, k, gamma, viaFront, want)
+					}
+					// γ=2 must produce real communities, or the matrix is vacuous.
+					if gamma == 2 && k == 100 && len(res.Communities) == 0 {
+						t.Fatalf("%s %s γ=2: no communities at all", name, mode)
+					}
 				}
 			}
 		}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"strings"
 	"time"
 )
 
@@ -76,12 +75,24 @@ type queryResponse struct {
 // maxQueryBody bounds a /v1/query request body.
 const maxQueryBody = 1 << 20
 
+// writeJSON encodes like icserver's writeJSON, HTML escaping included, so a
+// labelled answer is byte-identical from either front.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// errorStatus maps a coordinator error to its HTTP status: the client's
+// fault is a 400, a missed deadline a 504, and any shard failure a 502.
+func errorStatus(err error) int {
+	switch {
+	case isRequestError(err):
+		return http.StatusBadRequest
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout
+	}
+	return http.StatusBadGateway
 }
 
 func (h *handler) healthz(w http.ResponseWriter, r *http.Request) {
@@ -110,11 +121,7 @@ func (h *handler) topK(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	res, err := h.c.TopK(r.Context(), q.Get("dataset"), p.K, p.Gamma, p.Mode)
 	if err != nil {
-		status := http.StatusBadGateway
-		if errors.Is(err, context.DeadlineExceeded) {
-			status = http.StatusGatewayTimeout
-		}
-		writeJSON(w, status, map[string]string{"error": err.Error()})
+		writeJSON(w, errorStatus(err), map[string]string{"error": err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, &topKResponse{
@@ -138,17 +145,7 @@ func (h *handler) query(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	res, err := h.c.Query(r.Context(), req.Dataset, req.Query, h.maxK)
 	if err != nil {
-		status := http.StatusBadGateway
-		// Parse/plan/shape errors are the client's; shard failures are not.
-		if strings.HasPrefix(err.Error(), "query:") ||
-			strings.HasPrefix(err.Error(), "cluster: near(") ||
-			strings.HasPrefix(err.Error(), "cluster: k must") {
-			status = http.StatusBadRequest
-		}
-		if errors.Is(err, context.DeadlineExceeded) {
-			status = http.StatusGatewayTimeout
-		}
-		writeJSON(w, status, map[string]string{"error": err.Error()})
+		writeJSON(w, errorStatus(err), map[string]string{"error": err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, &queryResponse{

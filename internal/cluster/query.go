@@ -120,18 +120,18 @@ type QueryResult struct {
 func (c *Coordinator) Query(ctx context.Context, dataset, src string, maxK int) (*QueryResult, error) {
 	q, err := query.Parse(src)
 	if err != nil {
-		return nil, err
+		return nil, &RequestError{err}
 	}
 	nodes, err := query.PlanQuery(q, func(mode string, near bool) string { return query.PathScatter })
 	if err != nil {
-		return nil, err
+		return nil, &RequestError{err}
 	}
 	for _, n := range nodes {
 		if !n.FixedShape() {
-			return nil, fmt.Errorf("cluster: near(...) is not shard-safe (seed reweighting is global); query a single node instead")
+			return nil, badRequest("cluster: near(...) is not shard-safe (seed reweighting is global); query a single node instead")
 		}
 		if maxK > 0 && n.K > maxK {
-			return nil, fmt.Errorf("cluster: k must be in [1, %d]", maxK)
+			return nil, badRequest("cluster: k must be in [1, %d]", maxK)
 		}
 	}
 	c.planNodes.Add(int64(len(nodes)))

@@ -427,3 +427,242 @@ func TestFlappingReplicasSoak(t *testing.T) {
 		}
 	}
 }
+
+// pauseAfterFirstFlush serves a shard stream but pauses after flushing its
+// header line, so the header and the communities reach the coordinator in
+// separate reads.
+type pauseAfterFirstFlush struct {
+	http.ResponseWriter
+	pause   time.Duration
+	flushed bool
+}
+
+func (w *pauseAfterFirstFlush) Flush() {
+	w.ResponseWriter.(http.Flusher).Flush()
+	if !w.flushed {
+		w.flushed = true
+		time.Sleep(w.pause)
+	}
+}
+
+// TestShardTimeoutSparesStreamsAwaitingTheMerge: the merge pulls shards in
+// order, so a healthy shard's open stream waits unread while the merge
+// waits on another shard's failover — here longer than the shard timeout.
+// The timeout bounds the opens and reads the merge waits on, not that
+// wait, so the query still answers, byte-identical to a single node.
+func TestShardTimeoutSparesStreamsAwaitingTheMerge(t *testing.T) {
+	g := clusterTestGraph(t)
+	s, err := server.New(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := httptest.NewServer(s)
+	defer single.Close()
+
+	shards := replicatedShardServers(t, g, 2, 2)
+	parts, err := cluster.Partition(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, err := server.New(parts[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	paused := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		s1.ServeHTTP(&pauseAfterFirstFlush{ResponseWriter: w, pause: 20 * time.Millisecond}, r)
+	}))
+	defer paused.Close()
+	shards[1].Replicas = []string{paused.URL}
+
+	// shard0 fails over from a black hole (one full timeout) to a replica
+	// 50ms away: the merge waits on it for longer than the timeout.
+	tr := faultnet.NewTransport(nil)
+	tr.Set(hostOf(t, shards[0].Replicas[0]), mustScript(t, "blackhole", 1))
+	tr.Set(hostOf(t, shards[0].Replicas[1]), mustScript(t, "latency=50ms", 1))
+	const shardTimeout = 200 * time.Millisecond
+	coord, err := cluster.NewCoordinator(shards,
+		cluster.WithHTTPClient(&http.Client{Transport: tr}),
+		cluster.WithShardTimeout(shardTimeout),
+		cluster.WithOpenRetries(0),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+
+	start := time.Now()
+	res, err := coord.TopK(context.Background(), "", 5, 3, cluster.ModeCore)
+	if err != nil {
+		t.Fatalf("query failed after %s: %v", time.Since(start), err)
+	}
+	if elapsed := time.Since(start); elapsed < shardTimeout {
+		t.Fatalf("query took %s, under the %s timeout: the merge never waited on the failover", elapsed, shardTimeout)
+	}
+	if st := coord.Stats(); st.Failovers == 0 {
+		t.Fatal("shard0 did not fail over")
+	}
+	got, err := json.Marshal(res.Communities)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := singleCommunities(t, single.URL+"/v1/topk?k=5&gamma=3"); string(got) != string(want) {
+		t.Errorf("cluster %s\nsingle  %s", got, want)
+	}
+}
+
+// TestClientErrorTripsNoBreaker: a request the shards refuse as malformed
+// is the client's fault, not the replicas'. iccoord answers it 400 every
+// time, whether it refuses the request itself (truss at γ < 2) or every
+// replica of a shard does (k above the shards' own bound); no breaker
+// trips, and a valid query answers right after. shard1 opens 50ms late,
+// so shard0's 400 always ends the gather while shard1's open is in flight:
+// an attempt the gather cancelled is not the replica's failure either.
+func TestClientErrorTripsNoBreaker(t *testing.T) {
+	g := clusterTestGraph(t)
+	shards := shardServers(t, g, 2)
+	tr := faultnet.NewTransport(nil)
+	tr.Set(hostOf(t, shards[1].Replicas[0]), mustScript(t, "latency=50ms", 1))
+	coord, err := cluster.NewCoordinator(shards, cluster.WithHTTPClient(&http.Client{Transport: tr}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	// The shards keep server.New's k bound of 10000; the front allows more.
+	front := httptest.NewServer(cluster.NewHandler(coord, 1_000_000))
+	defer front.Close()
+
+	get := func(params string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(front.URL + "/v1/topk?" + params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body struct {
+			Error string `json:"error"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body.Error
+	}
+	for _, bad := range []string{"k=3&gamma=1&mode=truss", "k=20000&gamma=3"} {
+		for i := 0; i < 2*cluster.DefaultBreakerThreshold; i++ {
+			if code, msg := get(bad); code != http.StatusBadRequest {
+				t.Fatalf("%s (request %d): status %d (%s), want 400", bad, i, code, msg)
+			}
+		}
+	}
+	if trips := coord.Stats().BreakerTrips; trips != 0 {
+		t.Errorf("breaker_trips = %d after client errors, want 0", trips)
+	}
+	if code, msg := get("k=3&gamma=3"); code != http.StatusOK {
+		t.Errorf("valid query after client errors: status %d (%s)", code, msg)
+	}
+	// DSL batches map the same way.
+	code, body := postClusterQuery(t, front, `{"query":"topk(k=3, gamma=1, semantics=truss)"}`)
+	if code != http.StatusBadRequest {
+		t.Errorf("truss γ=1 batch: status %d (%s), want 400", code, body)
+	}
+}
+
+// TestBreakerCountsStallsPastCallerDeadline: a replica that stalls past
+// the caller's deadline has failed the query, so under the library
+// defaults its breaker trips although every caller's budget is far below
+// the shard timeout.
+func TestBreakerCountsStallsPastCallerDeadline(t *testing.T) {
+	g := clusterTestGraph(t)
+	shards := shardServers(t, g, 2)
+	tr := faultnet.NewTransport(nil)
+	tr.Set(hostOf(t, shards[0].Replicas[0]), mustScript(t, "blackhole", 1))
+	coord, err := cluster.NewCoordinator(shards, cluster.WithHTTPClient(&http.Client{Transport: tr}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+
+	const budget = 20 * time.Millisecond
+	for i := 0; i < 3*cluster.DefaultBreakerThreshold && coord.Stats().BreakerTrips == 0; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), budget)
+		_, err := coord.TopK(ctx, "", 3, 3, cluster.ModeCore)
+		cancel()
+		if err == nil {
+			t.Fatal("a query over a black-holed shard answered")
+		}
+	}
+	st := coord.Status()
+	if got := st[0].Replicas[0].Breaker; got != "open" {
+		t.Errorf("black-holed replica's breaker %q after %s caller deadlines, want open", got, budget)
+	}
+	if got := st[1].Replicas[0].Trips; got != 0 {
+		t.Errorf("healthy replica tripped %d times", got)
+	}
+}
+
+// TestReplicaRefusalFailsOver: a 400 from one replica can be that
+// replica's own configuration (here a lower k bound), so the coordinator
+// fails over without counting a breaker failure and the query answers,
+// byte-identical to a single node. Only a refusal by every replica is the
+// request's fault; a refusal beside another replica's failure is a shard
+// failure, which partial mode drops.
+func TestReplicaRefusalFailsOver(t *testing.T) {
+	g := clusterTestGraph(t)
+	s, err := server.New(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := httptest.NewServer(s)
+	defer single.Close()
+	parts, err := cluster.Partition(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	low, err := server.New(parts[0], server.WithMaxK(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refusing := httptest.NewServer(low)
+	defer refusing.Close()
+
+	shards := shardServers(t, g, 2)
+	shards[0].Replicas = append([]string{refusing.URL}, shards[0].Replicas...)
+	coord, err := cluster.NewCoordinator(shards, cluster.WithOpenRetries(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	want := singleCommunities(t, single.URL+"/v1/topk?k=5&gamma=3")
+	for i := 0; i < 2*cluster.DefaultBreakerThreshold; i++ {
+		res, err := coord.TopK(context.Background(), "", 5, 3, cluster.ModeCore)
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		if got, _ := json.Marshal(res.Communities); string(got) != string(want) {
+			t.Fatalf("query %d: cluster %s\nsingle  %s", i, got, want)
+		}
+	}
+	st := coord.Stats()
+	if st.Failovers == 0 {
+		t.Error("no failover past the refusing replica")
+	}
+	if rs := coord.Status()[0].Replicas[0]; rs.URL != refusing.URL || rs.ConsecutiveFails != 0 || st.BreakerTrips != 0 {
+		t.Errorf("refusing replica %s: %d consecutive fails, breaker_trips %d, want none", rs.URL, rs.ConsecutiveFails, st.BreakerTrips)
+	}
+
+	dead := httptest.NewServer(http.NotFoundHandler())
+	deadURL := dead.URL
+	dead.Close()
+	shards[0].Replicas = []string{deadURL, refusing.URL}
+	partial, err := cluster.NewCoordinator(shards, cluster.WithOpenRetries(0), cluster.WithPartialResults(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer partial.Close()
+	res, err := partial.TopK(context.Background(), "", 5, 3, cluster.ModeCore)
+	if err != nil {
+		t.Fatalf("refusal beside a dead replica failed the query: %v", err)
+	}
+	if !res.Partial || len(res.FailedShards) != 1 || res.FailedShards[0] != "shard0" {
+		t.Errorf("partial=%v failed=%v, want shard0 dropped", res.Partial, res.FailedShards)
+	}
+}

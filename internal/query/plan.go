@@ -174,6 +174,13 @@ func PlanQuery(q *Query, pick PickPath) ([]Node, error) {
 	return nodes, nil
 }
 
+// FixedNode returns the plan node of one classic (k, γ, semantics) query,
+// the shape /v1/topk answers, keyed exactly like a DSL node of that shape:
+// a /v1/topk request and a batch node share one execution.
+func FixedNode(k int, gamma int32, mode string) Node {
+	return Node{K: k, Gamma: gamma, Mode: mode, Key: nodeKey(&Source{K: k}, gamma, mode)}
+}
+
 // nodeKey renders the canonical single-(γ, semantics) source print that
 // identifies a node's computation.
 func nodeKey(src *Source, gamma int32, mode string) string {

@@ -115,6 +115,7 @@ func (s *Source) Near() bool { return len(s.Seeds) > 0 }
 // String renders the canonical form of the source.
 func (s *Source) String() string {
 	var b strings.Builder
+	b.Grow(48) // a single-γ topk source in one allocation
 	if s.Near() {
 		b.WriteString("near(seeds=[")
 		for i, sd := range s.Seeds {
@@ -127,9 +128,13 @@ func (s *Source) String() string {
 	} else {
 		b.WriteString("topk(")
 	}
-	fmt.Fprintf(&b, "k=%d, gamma=%d", s.K, s.GammaLo)
+	b.WriteString("k=")
+	b.WriteString(strconv.Itoa(s.K))
+	b.WriteString(", gamma=")
+	b.WriteString(strconv.Itoa(int(s.GammaLo)))
 	if s.GammaHi != s.GammaLo {
-		fmt.Fprintf(&b, "..%d", s.GammaHi)
+		b.WriteString("..")
+		b.WriteString(strconv.Itoa(int(s.GammaHi)))
 	}
 	b.WriteString(", semantics=")
 	b.WriteString(strings.Join(s.Semantics, "+"))

@@ -1,32 +1,35 @@
 package query
 
 import (
+	"container/list"
 	"context"
 	"errors"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
 
-// DefaultMemoSize is the memo capacity a Sharer gets when constructed with
-// a non-positive one.
-const DefaultMemoSize = 256
-
 // Sharer computes identical plan nodes exactly once across concurrent
 // queries. It combines singleflight (concurrent requests for one key join
-// the in-flight computation) with a small bounded memo (a request arriving
-// just after completion reuses the result), both keyed on the node's
-// canonical Key *and* the snapshot epoch it executes against — sharing
-// never crosses epochs, so an answer computed before an update is never
-// served for a plan node that must see the update.
+// the in-flight computation) with a bounded LRU memo (a request arriving
+// after completion reuses the result), both keyed on the node's canonical
+// Key *and* the snapshot epoch it executes against — sharing never crosses
+// epochs, so an answer computed before an update is never served for a
+// plan node that must see the update.
+//
+// The memo holds only the newest epoch the Sharer has seen: the first Do at
+// a newer epoch drops every older answer, whichever path published the
+// update. A Do at an older epoch — a request pinned before the update —
+// still joins identical in-flight work at its epoch, but its answer is not
+// memoized.
 //
 // Errors are never memoized; a leader cancelled by its own caller is
 // retried by any follower whose context is still live.
 type Sharer struct {
 	mu    sync.Mutex
-	calls map[string]*sharedCall
-	memo  map[string]any
-	order []string // memo keys, oldest first
+	calls map[callKey]*sharedCall
+	memo  map[string]*list.Element // keys at epoch, each an element of lru
+	lru   *list.List               // memoEntry values, most recently used first
+	epoch uint64                   // the newest epoch seen; the memo's epoch
 	cap   int
 
 	hits  atomic.Int64
@@ -36,22 +39,33 @@ type Sharer struct {
 	onExec atomic.Pointer[func(key string)]
 }
 
+// callKey names one in-flight computation.
+type callKey struct {
+	epoch uint64
+	key   string
+}
+
 type sharedCall struct {
 	done chan struct{}
 	val  any
 	err  error
 }
 
+type memoEntry struct {
+	key string
+	val any
+}
+
 // NewSharer returns a Sharer whose memo keeps at most capacity completed
-// results (DefaultMemoSize if capacity is not positive).
+// results of the newest epoch, evicting the least recently used. A
+// capacity of 0 (or less) memoizes nothing: the Sharer then only joins
+// concurrent identical calls.
 func NewSharer(capacity int) *Sharer {
-	if capacity <= 0 {
-		capacity = DefaultMemoSize
-	}
 	return &Sharer{
-		calls: make(map[string]*sharedCall),
-		memo:  make(map[string]any),
-		cap:   capacity,
+		calls: make(map[callKey]*sharedCall),
+		memo:  make(map[string]*list.Element),
+		lru:   list.New(),
+		cap:   max(capacity, 0),
 	}
 }
 
@@ -60,15 +74,23 @@ func NewSharer(capacity int) *Sharer {
 // reports whether the caller reused work (memo hit or joined an in-flight
 // computation) rather than executing fn itself.
 func (s *Sharer) Do(ctx context.Context, epoch uint64, key string, fn func() (any, error)) (val any, shared bool, err error) {
-	full := strconv.FormatUint(epoch, 10) + "|" + key
+	ck := callKey{epoch, key}
 	for {
 		s.mu.Lock()
-		if v, ok := s.memo[full]; ok {
+		if epoch > s.epoch {
+			// A newer snapshot is published: no later request can read the
+			// older answers, so free them now.
+			clear(s.memo)
+			s.lru.Init()
+			s.epoch = epoch
+		}
+		if el, ok := s.memo[key]; ok && epoch == s.epoch {
+			s.lru.MoveToFront(el)
 			s.mu.Unlock()
 			s.hits.Add(1)
-			return v, true, nil
+			return el.Value.(*memoEntry).val, true, nil
 		}
-		if c, ok := s.calls[full]; ok {
+		if c, ok := s.calls[ck]; ok {
 			s.mu.Unlock()
 			select {
 			case <-c.done:
@@ -88,7 +110,7 @@ func (s *Sharer) Do(ctx context.Context, epoch uint64, key string, fn func() (an
 			return nil, false, c.err
 		}
 		c := &sharedCall{done: make(chan struct{})}
-		s.calls[full] = c
+		s.calls[ck] = c
 		s.mu.Unlock()
 
 		s.execs.Add(1)
@@ -98,20 +120,24 @@ func (s *Sharer) Do(ctx context.Context, epoch uint64, key string, fn func() (an
 		c.val, c.err = fn()
 
 		s.mu.Lock()
-		delete(s.calls, full)
-		if c.err == nil {
-			if len(s.memo) >= s.cap {
-				oldest := s.order[0]
-				s.order = s.order[1:]
-				delete(s.memo, oldest)
+		delete(s.calls, ck)
+		if c.err == nil && epoch == s.epoch && s.cap > 0 {
+			s.memo[key] = s.lru.PushFront(&memoEntry{key: key, val: c.val})
+			if s.lru.Len() > s.cap {
+				delete(s.memo, s.lru.Remove(s.lru.Back()).(*memoEntry).key)
 			}
-			s.memo[full] = c.val
-			s.order = append(s.order, full)
 		}
 		s.mu.Unlock()
 		close(c.done)
 		return c.val, false, c.err
 	}
+}
+
+// Len returns how many completed results the memo holds.
+func (s *Sharer) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.memo)
 }
 
 // Hits returns how many Do calls reused shared work instead of executing.

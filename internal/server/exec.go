@@ -53,9 +53,9 @@ type execResult struct {
 
 // pinned is one request's read of its dataset: the snapshot every node of
 // the request runs on, its epoch, and the prebuilt index valid at that
-// epoch (nil when none is). The epoch keys the result cache, the Sharer,
-// the truss index and the shard stream header, so each of them describes
-// exactly the snapshot that answered.
+// epoch (nil when none is). The epoch keys the Sharer, the truss index
+// and the shard stream header, so each of them describes exactly the
+// snapshot that answered.
 type pinned struct {
 	ds     *dataset
 	search core.Searcher

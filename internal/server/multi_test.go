@@ -229,31 +229,6 @@ func TestCacheHitEquivalence(t *testing.T) {
 	}
 }
 
-// TestCacheLRUEviction exercises the eviction path with a tiny capacity.
-func TestCacheLRUEviction(t *testing.T) {
-	c := newResultCache(2)
-	key := func(k int) cacheKey { return cacheKey{dataset: "d", k: k, gamma: 1, mode: "core"} }
-	c.put(key(1), &topKResponse{K: 1})
-	c.put(key(2), &topKResponse{K: 2})
-	if _, ok := c.get(key(1)); !ok {
-		t.Fatal("key 1 evicted prematurely")
-	}
-	c.put(key(3), &topKResponse{K: 3}) // evicts key 2 (LRU)
-	if _, ok := c.get(key(2)); ok {
-		t.Error("key 2 should have been evicted")
-	}
-	if _, ok := c.get(key(1)); !ok {
-		t.Error("key 1 should have survived (recently used)")
-	}
-	if _, ok := c.get(key(3)); !ok {
-		t.Error("key 3 should be present")
-	}
-	c.invalidateDataset("d")
-	if c.len() != 0 {
-		t.Errorf("after invalidation cache holds %d entries", c.len())
-	}
-}
-
 // TestTrussNeedsMemoryBackend: truss queries need whole-graph access and
 // must be rejected cleanly on semi-external datasets.
 func TestTrussNeedsMemoryBackend(t *testing.T) {

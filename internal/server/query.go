@@ -16,11 +16,12 @@ import (
 
 // This file is the single-node side of the query DSL (internal/query):
 // POST /v1/query parses a batch, plans it into fixed-shape nodes, and
-// executes the nodes through the same engine boundary as /v1/topk
-// (execute), with cross-query sharing — identical canonical nodes at
-// the same snapshot epoch are computed once across all concurrent batches
-// via the dataset's Sharer, and seed-scoped (near) statements additionally
-// share the reweighted graph across their γ expansion.
+// executes the nodes through executeNode, the path /v1/topk takes too.
+// Repeated nodes of one batch are answered once; identical canonical nodes
+// at the same snapshot epoch are computed once across all concurrent
+// batches and /v1/topk requests via the dataset's Sharer; and seed-scoped
+// (near) statements additionally share the reweighted graph across their γ
+// expansion.
 
 // maxQueryBody bounds a /v1/query request body.
 const maxQueryBody = 1 << 20
@@ -77,32 +78,9 @@ type nodeResult struct {
 	AccessedVertices int `json:"accessed_vertices,omitempty"`
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	// Same admission control as /v1/topk: one slot per batch, shed when
-	// saturated. DSL batches are counted separately (dsl_queries) so the
+func (s *Server) handleQuery(ctx context.Context, w http.ResponseWriter, r *http.Request) {
+	// DSL batches are counted separately (dsl_queries, by admit) so the
 	// classic per-query latency average stays comparable.
-	if s.inflight != nil {
-		select {
-		case s.inflight <- struct{}{}:
-			defer func() { <-s.inflight }()
-		default:
-			s.metrics.rejected.Add(1)
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "server saturated, retry later"})
-			return
-		}
-	}
-	s.metrics.dslQueries.Add(1)
-	s.metrics.inFlight.Add(1)
-	defer s.metrics.inFlight.Add(-1)
-
-	ctx := r.Context()
-	if s.queryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.queryTimeout)
-		defer cancel()
-	}
-
 	start := time.Now()
 	resp, err := s.runQueryBatch(ctx, w, r)
 	if err != nil {
@@ -123,21 +101,14 @@ func (s *Server) runQueryBatch(ctx context.Context, w http.ResponseWriter, r *ht
 		return nil, &httpError{http.StatusBadRequest, err.Error()}
 	}
 
-	name := req.Dataset
-	if name == "" {
-		name = DefaultDataset
-	}
-	ds := s.registry.acquireLookup(name)
-	if ds == nil {
-		return nil, &httpError{http.StatusNotFound, "dataset " + strconv.Quote(name) + " is not loaded"}
-	}
-	defer ds.release()
-	ds.queries.Add(1)
-
 	// One pin serves the whole batch: every node runs on the pinned
 	// snapshot and shares work under its epoch, exactly like a /v1/topk
-	// cache key, so the reported snapshot_epoch is the one that answered.
-	pin := ds.pin()
+	// request, so the reported snapshot_epoch is the one that answered.
+	pin, err := s.acquire(req.Dataset)
+	if err != nil {
+		return nil, err
+	}
+	defer pin.ds.release()
 	nodes, err := query.PlanQuery(q, nil)
 	if err != nil {
 		return nil, &httpError{http.StatusBadRequest, err.Error()}
@@ -151,17 +122,26 @@ func (s *Server) runQueryBatch(ctx context.Context, w http.ResponseWriter, r *ht
 
 	resp := &queryResponse{
 		Query:         q.String(),
-		Dataset:       name,
+		Dataset:       pin.ds.name,
 		PlanNodes:     len(nodes),
 		SnapshotEpoch: pin.epoch,
 	}
 	for _, st := range q.Statements {
 		resp.Results = append(resp.Results, statementResult{Statement: st.String()})
 	}
+	// A node repeated within the batch is answered from the batch's own
+	// results, and a seed set is reweighted once per batch, whatever the
+	// memo holds (it memoizes nothing for a batch pinned before an update).
+	done := make(map[string]*execResult, len(nodes))
+	reweighted := make(map[string]*core.Pool)
 	for _, n := range nodes {
-		er, shared, err := s.executeNode(ctx, &pin, n)
-		if err != nil {
-			return nil, err
+		er, shared := done[n.Key], true
+		if er == nil {
+			var err error
+			if er, shared, err = s.executeNode(ctx, &pin, n, reweighted); err != nil {
+				return nil, err
+			}
+			done[n.Key] = er
 		}
 		if shared {
 			s.metrics.cseHits.Add(1)
@@ -182,12 +162,12 @@ func (s *Server) runQueryBatch(ctx context.Context, w http.ResponseWriter, r *ht
 
 // executeNode runs one plan node on the pinned snapshot with cross-query
 // sharing: the node's canonical key plus the snapshot epoch identify the
-// computation, so any concurrent or recent identical node — same batch,
-// another batch, another client — yields one execution. Every node runs
-// through execute, the same engine boundary as /v1/topk, which is what
-// makes a DSL node's communities byte-identical to its fixed-shape
-// equivalent.
-func (s *Server) executeNode(ctx context.Context, pin *pinned, n query.Node) (*execResult, bool, error) {
+// computation, so any concurrent or recent identical node — a /v1/topk
+// request, another batch, another client — yields one execution. Every
+// node runs through execute, which is what makes a DSL node's communities
+// byte-identical to its /v1/topk equivalent. reweighted holds the caller's
+// reweighted graphs by seed set (nil for a fixed-shape node).
+func (s *Server) executeNode(ctx context.Context, pin *pinned, n query.Node, reweighted map[string]*core.Pool) (*execResult, bool, error) {
 	ds, on := pin.ds, pin
 	if !n.FixedShape() {
 		// near: reweight by seed distance, then search the reweighted
@@ -201,17 +181,23 @@ func (s *Server) executeNode(ctx context.Context, pin *pinned, n query.Node) (*e
 		}
 		// Seeds are canonical (sorted, deduplicated), so they name the
 		// reweighting exactly.
-		rwVal, _, err := ds.sharer.Do(ctx, pin.epoch, "reweight|"+fmt.Sprint(n.Seeds), func() (any, error) {
-			rw, err := queryweight.Reweight(g, n.Seeds)
+		key := "reweight|" + fmt.Sprint(n.Seeds)
+		pool := reweighted[key]
+		if pool == nil {
+			rwVal, _, err := ds.sharer.Do(ctx, pin.epoch, key, func() (any, error) {
+				rw, err := queryweight.Reweight(g, n.Seeds)
+				if err != nil {
+					return nil, &httpError{http.StatusBadRequest, err.Error()}
+				}
+				return core.NewPool(rw), nil
+			})
 			if err != nil {
-				return nil, &httpError{http.StatusBadRequest, err.Error()}
+				return nil, false, err
 			}
-			return core.NewPool(rw), nil
-		})
-		if err != nil {
-			return nil, false, err
+			pool = rwVal.(*core.Pool)
+			reweighted[key] = pool
 		}
-		on = &pinned{ds: ds, search: rwVal.(*core.Pool), epoch: pin.epoch}
+		on = &pinned{ds: ds, search: pool, epoch: pin.epoch}
 	}
 	val, shared, err := ds.sharer.Do(ctx, pin.epoch, n.Key, func() (any, error) {
 		return s.execute(ctx, on, n, false, nil)

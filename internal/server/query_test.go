@@ -8,9 +8,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"influcomm/internal/index"
 	"influcomm/internal/query"
@@ -253,6 +256,15 @@ func TestCSESharedDecompositionComputedOnce(t *testing.T) {
 	if total >= 3*batches {
 		t.Errorf("sharing saved nothing: %d decompositions for %d nodes", total, 3*batches)
 	}
+	// Each batch answers its repeated γ2 node itself, so the sharer sees
+	// two nodes per batch and shares all but the two executions. Read it
+	// before the /v1/topk reference requests below, which share its memo.
+	if ds.sharer.Execs() != 2 {
+		t.Errorf("sharer execs = %d, want 2", ds.sharer.Execs())
+	}
+	if ds.sharer.Hits() != int64(2*batches-2) {
+		t.Errorf("sharer hits = %d, want %d", ds.sharer.Hits(), 2*batches-2)
+	}
 
 	// Every batch's communities match the fixed-shape answer, and the
 	// per-batch counters add up: all but the first-executed instance of
@@ -290,12 +302,6 @@ func TestCSESharedDecompositionComputedOnce(t *testing.T) {
 	}
 	if want := 3*batches - 2; hits != want {
 		t.Errorf("summed cse_hits = %d, want %d", hits, want)
-	}
-	if ds.sharer.Execs() != 2 {
-		t.Errorf("sharer execs = %d, want 2", ds.sharer.Execs())
-	}
-	if ds.sharer.Hits() != int64(3*batches-2) {
-		t.Errorf("sharer hits = %d, want %d", ds.sharer.Hits(), 3*batches-2)
 	}
 }
 
@@ -371,7 +377,10 @@ func TestQueryBatchAnswersPinnedSnapshot(t *testing.T) {
 		t.Fatal("dyn dataset missing")
 	}
 	defer ds.release()
-	before := topKCommunities(t, ts, "k=3&gamma=2&dataset=dyn")
+	// The epoch-0 answer comes from a second server over the same graph: a
+	// /v1/topk here would memoize the very node the batch must execute.
+	_, ref := dslBackendsServer(t)
+	before := topKCommunities(t, ref, "k=3&gamma=2&dataset=dyn")
 
 	// Vertex 4 gains a second edge into the top K4 {0,1,2,3}, which
 	// changes the top-3 at γ = 2.
@@ -595,5 +604,253 @@ func TestPlanQueryStatsCounters(t *testing.T) {
 	}
 	if stats.CSEHits != 1 {
 		t.Errorf("cse_hits = %d, want 1", stats.CSEHits)
+	}
+}
+
+// fetchTopK fetches one /v1/topk response; safe off the test goroutine.
+func fetchTopK(ts *httptest.Server, params string) (topKResponse, error) {
+	var out topKResponse
+	resp, err := http.Get(ts.URL + "/v1/topk?" + params)
+	if err != nil {
+		return out, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return out, fmt.Errorf("topk %s: status %d", params, resp.StatusCode)
+	}
+	return out, json.NewDecoder(resp.Body).Decode(&out)
+}
+
+// getTopK is fetchTopK on the test goroutine.
+func getTopK(t *testing.T, ts *httptest.Server, params string) topKResponse {
+	t.Helper()
+	resp, err := fetchTopK(ts, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// TestCSETopKConcurrentMissesExecuteOnce: identical /v1/topk requests that
+// all miss execute once; every other response is marked cached and
+// carries the same communities.
+func TestCSETopKConcurrentMissesExecuteOnce(t *testing.T) {
+	s, err := New(rankGraph(t), WithMaxInFlight(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	ds := s.registry.lookup(DefaultDataset)
+
+	// The execution waits until every request is admitted, so none of them
+	// can have found a finished answer when it arrived.
+	const clients = 8
+	var execs atomic.Int64
+	ds.sharer.SetExecHook(func(string) {
+		execs.Add(1)
+		for deadline := time.Now().Add(10 * time.Second); s.metrics.inFlight.Load() < clients && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+	})
+	defer ds.sharer.SetExecHook(nil)
+
+	resps := make([]topKResponse, clients)
+	var wg sync.WaitGroup
+	for i := range resps {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var err error
+			if resps[i], err = fetchTopK(ts, "k=3&gamma=2"); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if n := execs.Load(); n != 1 {
+		t.Errorf("%d concurrent identical misses executed %d times, want 1", clients, n)
+	}
+	cached := 0
+	for i, r := range resps {
+		if r.Cached {
+			cached++
+		}
+		if !reflect.DeepEqual(r.Communities, resps[0].Communities) || len(r.Communities) == 0 {
+			t.Errorf("response %d: communities %v, want %v", i, r.Communities, resps[0].Communities)
+		}
+	}
+	if cached != clients-1 {
+		t.Errorf("%d responses cached, want %d", cached, clients-1)
+	}
+	var st statsResponse
+	getJSON(t, ts.URL+"/v1/stats", &st)
+	if st.CacheHits != clients-1 || st.CacheMisses != 1 {
+		t.Errorf("cache hits=%d misses=%d, want %d/1", st.CacheHits, st.CacheMisses, clients-1)
+	}
+}
+
+// TestCSETopKAndQueryShareOneExecution: a /v1/topk request and a /v1/query
+// node of the same shape are one computation, whichever arrives first, and
+// answer byte-identical communities.
+func TestCSETopKAndQueryShareOneExecution(t *testing.T) {
+	shapes := []struct{ topk, dsl string }{
+		{"k=3&gamma=2", "topk(k=3, gamma=2)"},
+		{"k=2&gamma=3&noncontainment=1", "topk(k=2, gamma=3, semantics=noncontainment)"},
+		{"k=3&gamma=3&mode=truss", "topk(k=3, gamma=3, semantics=truss)"},
+	}
+	for _, topkFirst := range []bool{true, false} {
+		for _, sh := range shapes {
+			s, ts := dslBackendsServer(t)
+			ds := s.registry.lookup(DefaultDataset)
+			var execs atomic.Int64
+			ds.sharer.SetExecHook(func(string) { execs.Add(1) })
+
+			node := func() rawQueryResponse {
+				code, body := postQuery(t, ts, fmt.Sprintf(`{"query":%q}`, sh.dsl))
+				var qr rawQueryResponse
+				if err := json.Unmarshal(body, &qr); err != nil || code != http.StatusOK || len(qr.Results) != 1 || len(qr.Results[0].Nodes) != 1 {
+					t.Fatalf("%s: status %d: %s", sh.dsl, code, body)
+				}
+				return qr
+			}
+			var viaTopK json.RawMessage
+			var qr rawQueryResponse
+			var cached bool
+			if topkFirst {
+				viaTopK = topKCommunities(t, ts, sh.topk)
+				qr = node()
+				cached = qr.Results[0].Nodes[0].Shared
+			} else {
+				qr = node()
+				cached = getTopK(t, ts, sh.topk).Cached
+				viaTopK = topKCommunities(t, ts, sh.topk)
+			}
+			if n := execs.Load(); n != 1 {
+				t.Errorf("%s (topk first: %v): %d executions, want 1", sh.dsl, topkFirst, n)
+			}
+			if !cached {
+				t.Errorf("%s (topk first: %v): the second request did not share the first's execution", sh.dsl, topkFirst)
+			}
+			if got := qr.Results[0].Nodes[0].Communities; string(got) != string(viaTopK) {
+				t.Errorf("%s (topk first: %v):\ndsl  %s\ntopk %s", sh.dsl, topkFirst, got, viaTopK)
+			}
+		}
+	}
+}
+
+// TestCSEMemoHoldsNewestEpochOnly: on a mutable dataset the first query
+// after an update frees every older answer (a near node's reweighted graph
+// included), and a request pinned before the update is answered from its
+// snapshot without being memoized.
+func TestCSEMemoHoldsNewestEpochOnly(t *testing.T) {
+	s, ts := dslBackendsServer(t)
+	ds := s.registry.lookup("dyn")
+	if code, body := postQuery(t, ts, `{"query":"near(seeds=[0,1], k=2, gamma=2)","dataset":"dyn"}`); code != http.StatusOK {
+		t.Fatalf("near batch: status %d: %s", code, body)
+	}
+	if n := ds.sharer.Len(); n != 2 {
+		t.Fatalf("memo holds %d entries after a near node, want 2 (reweight + node)", n)
+	}
+
+	// The batch below pins epoch 0. Its execution publishes epoch 1 and
+	// answers a /v1/topk there before the batch's own answer is ready.
+	var fired atomic.Bool
+	ds.sharer.SetExecHook(func(string) {
+		if !fired.CompareAndSwap(false, true) {
+			return
+		}
+		if _, err := store.AsMutable(ds.st).ApplyUpdates(context.Background(), []store.EdgeUpdate{{U: 4, V: 1}}); err != nil {
+			t.Errorf("update: %v", err)
+		}
+		if r, err := fetchTopK(ts, "k=1&gamma=2&dataset=dyn"); err != nil || r.Cached {
+			t.Errorf("the first query at epoch 1: cached %v, err %v", r.Cached, err)
+		}
+	})
+	defer ds.sharer.SetExecHook(nil)
+
+	code, body := postQuery(t, ts, `{"query":"topk(k=3, gamma=2)","dataset":"dyn"}`)
+	var qr struct {
+		rawQueryResponse
+		SnapshotEpoch uint64 `json:"snapshot_epoch"`
+	}
+	if err := json.Unmarshal(body, &qr); err != nil || code != http.StatusOK || len(qr.Results) != 1 {
+		t.Fatalf("pinned batch: status %d: %s", code, body)
+	}
+	if !fired.Load() || qr.SnapshotEpoch != 0 {
+		t.Fatalf("hook fired %v, batch epoch %d: the batch was not pinned before the update", fired.Load(), qr.SnapshotEpoch)
+	}
+	var comms []communityJSON
+	if err := json.Unmarshal(qr.Results[0].Nodes[0].Communities, &comms); err != nil || len(comms) == 0 {
+		t.Fatalf("pinned batch answered no communities: %s", body)
+	}
+	// Only the epoch-1 /v1/topk answer is left.
+	if n := ds.sharer.Len(); n != 1 {
+		t.Errorf("memo holds %d entries, want 1 (the epoch-1 answer only)", n)
+	}
+	if r := getTopK(t, ts, "k=1&gamma=2&dataset=dyn"); !r.Cached {
+		t.Error("the epoch-1 answer was not memoized")
+	}
+}
+
+// TestCSEBatchRepeatsWithoutMemo: with the memo off, a node repeated within
+// one batch is still computed once.
+func TestCSEBatchRepeatsWithoutMemo(t *testing.T) {
+	s, err := New(rankGraph(t), WithResultCache(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	ds := s.registry.lookup(DefaultDataset)
+	var execs atomic.Int64
+	ds.sharer.SetExecHook(func(string) { execs.Add(1) })
+
+	code, body := postQuery(t, ts, `{"query":"topk(k=2, gamma=2); topk(k=2, gamma=2..3) | limit(1)"}`)
+	var qr rawQueryResponse
+	if err := json.Unmarshal(body, &qr); err != nil || code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, body)
+	}
+	if qr.CSEHits != 1 || execs.Load() != 2 {
+		t.Errorf("cse_hits=%d executions=%d, want 1 and 2 (3 nodes, 2 distinct)", qr.CSEHits, execs.Load())
+	}
+	if n := ds.sharer.Len(); n != 0 {
+		t.Errorf("memo holds %d entries at capacity 0", n)
+	}
+	var st statsResponse
+	getJSON(t, ts.URL+"/v1/stats", &st)
+	if st.CacheCapacity != 0 || st.CacheEntries != 0 {
+		t.Errorf("cache capacity=%d entries=%d, want 0/0", st.CacheCapacity, st.CacheEntries)
+	}
+}
+
+// TestCSENearReweightsOncePerBatchWithoutMemo: a batch reweights each seed
+// set once even when the memo keeps nothing — as for a batch pinned before
+// an update, whose epoch the memo no longer holds.
+func TestCSENearReweightsOncePerBatchWithoutMemo(t *testing.T) {
+	s, err := New(rankGraph(t), WithResultCache(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	ds := s.registry.lookup(DefaultDataset)
+	var reweights atomic.Int64
+	ds.sharer.SetExecHook(func(key string) {
+		if strings.HasPrefix(key, "reweight|") {
+			reweights.Add(1)
+		}
+	})
+
+	code, body := postQuery(t, ts, `{"query":"near(seeds=[0,1], k=2, gamma=2..4)"}`)
+	var qr rawQueryResponse
+	if err := json.Unmarshal(body, &qr); err != nil || code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, body)
+	}
+	if len(qr.Results) != 1 || len(qr.Results[0].Nodes) != 3 {
+		t.Fatalf("result shape: %s", body)
+	}
+	if n := reweights.Load(); n != 1 {
+		t.Errorf("reweight executed %d times for a 3-node γ range, want 1", n)
 	}
 }

@@ -24,9 +24,6 @@ import (
 type registry struct {
 	mu       sync.RWMutex
 	datasets map[string]*dataset
-	// gen increments per registration, so cache keys from an unloaded
-	// dataset can never alias a later dataset with the same name.
-	gen uint64
 
 	// defaultIndex is stashed by WithIndex until New registers the
 	// default dataset.
@@ -37,16 +34,15 @@ type registry struct {
 // index, a lazily built truss index, and serving counters.
 type dataset struct {
 	name string
-	gen  uint64
 	st   store.Store
 
 	// attached, when non-nil, holds the prebuilt index answering
 	// default-semantics queries in output-proportional time, paired with
 	// the snapshot epoch it describes; only backends with whole-graph
 	// access can carry one. Queries honor the index only while the epoch
-	// they key their result by equals the attached epoch (indexAt), so a
-	// query racing an update can never cache a pre-update index answer
-	// under the post-update epoch. On datasets with maintenance (maint)
+	// they pinned equals the attached epoch (indexAt), so a query racing
+	// an update can never memoize a pre-update index answer under the
+	// post-update epoch. On datasets with maintenance (maint)
 	// the pipeline repairs or rebuilds and re-attaches after every
 	// effective update; without it, the update handler drops the index
 	// (dropIndex) and queries fall back to pooled LocalSearch until an
@@ -74,11 +70,12 @@ type dataset struct {
 	indexServed atomic.Int64
 	localServed atomic.Int64
 
-	// sharer deduplicates DSL plan-node executions across concurrent
-	// /v1/query batches: identical canonical nodes at the same snapshot
-	// epoch are computed once (singleflight + bounded memo). Per dataset,
-	// because node keys do not name the dataset and epochs of different
-	// datasets are unrelated counters.
+	// sharer is the dataset's one memo: identical canonical nodes at the
+	// same snapshot epoch — /v1/topk requests and /v1/query plan nodes
+	// alike — are computed once (singleflight + an LRU memo of the newest
+	// epoch's answers). Per dataset, because node keys do not name the
+	// dataset and epochs of different datasets are unrelated counters; it
+	// goes with the dataset on unload.
 	sharer *query.Sharer
 
 	// refs counts in-flight queries; unloaded marks removal from the
@@ -372,8 +369,7 @@ func (s *Server) addDataset(name string, cfg DatasetConfig) (*dataset, error) {
 	if _, ok := s.registry.datasets[name]; ok {
 		return nil, fmt.Errorf("server: dataset %q is %w", name, errAlreadyLoaded)
 	}
-	s.registry.gen++
-	ds := &dataset{name: name, gen: s.registry.gen, st: st, sharer: query.NewSharer(0)}
+	ds := &dataset{name: name, st: st, sharer: query.NewSharer(s.memoSize)}
 	if cfg.Index != nil {
 		ds.attached.Store(&attachedIndex{ix: cfg.Index, epoch: ds.epoch()})
 	}
@@ -389,8 +385,8 @@ func (s *Server) addDataset(name string, cfg DatasetConfig) (*dataset, error) {
 }
 
 // RemoveDataset unloads the named dataset: it disappears from routing
-// immediately, cached results for it are purged, and the backend is closed
-// once in-flight queries drain. Safe to call while the server is serving.
+// immediately, its memo goes with it, and the backend is closed once
+// in-flight queries drain. Safe to call while the server is serving.
 func (s *Server) RemoveDataset(name string) error {
 	s.registry.mu.Lock()
 	ds, ok := s.registry.datasets[name]
@@ -400,9 +396,6 @@ func (s *Server) RemoveDataset(name string) error {
 	s.registry.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("server: dataset %q is not loaded", name)
-	}
-	if s.cache != nil {
-		s.cache.invalidateDataset(name)
 	}
 	if ds.maint != nil {
 		// Drain the maintenance pipeline before the backend can close: an

@@ -7,11 +7,14 @@
 // RAM — plus an optional prebuilt index (whole-graph backends only) that
 // answers default-semantics queries in output-proportional time. Queries
 // run concurrently, each request under its own context with a per-request
-// deadline; a bounded LRU cache short-circuits repeated identical queries
-// and reports hits and misses on /v1/stats. Datasets can be loaded and
-// unloaded at runtime through the admin endpoints without restarting;
-// unloading waits for in-flight queries on that dataset to drain before
-// releasing the backend.
+// deadline, through one admission step shared by every query route. Each
+// dataset's query.Sharer computes identical work once: a /v1/topk request
+// and a /v1/query plan node of the same (k, γ, semantics) shape at the
+// same snapshot epoch join one execution, and a bounded LRU memo keeps the
+// newest epoch's answers (hits and misses on /v1/stats). Datasets can be
+// loaded and unloaded at runtime through the admin endpoints without
+// restarting; unloading waits for in-flight queries on that dataset to
+// drain before releasing the backend.
 //
 // Endpoints:
 //
@@ -68,8 +71,8 @@ type Server struct {
 
 	registry registry
 
-	// cache short-circuits repeated identical queries; nil when disabled.
-	cache *resultCache
+	// memoSize is each dataset's Sharer memo capacity; see WithResultCache.
+	memoSize int
 
 	// adminToken, when non-empty, gates the admin endpoints behind a
 	// bearer token; queries stay open.
@@ -100,12 +103,15 @@ type pendingDataset struct {
 
 // metrics holds the serving counters reported on /v1/stats.
 type metrics struct {
-	queries    atomic.Int64 // admitted /v1/topk requests
+	queries    atomic.Int64 // admitted /v1/topk and /v1/shard/stream requests
 	inFlight   atomic.Int64 // currently executing queries
 	rejected   atomic.Int64 // 503s from the in-flight limit
 	errors     atomic.Int64 // bad requests and query failures
 	canceled   atomic.Int64 // queries stopped by disconnect or deadline
 	durationUS atomic.Int64 // cumulative query time of admitted requests
+
+	cacheHits   atomic.Int64 // /v1/topk answers shared with another execution
+	cacheMisses atomic.Int64 // /v1/topk answers this request executed
 
 	indexServed atomic.Int64 // queries answered from a prebuilt index
 	localServed atomic.Int64 // queries answered by online LocalSearch/truss
@@ -164,16 +170,13 @@ func WithDataset(name string, cfg DatasetConfig) Option {
 	}
 }
 
-// WithResultCache overrides the query-result cache capacity (default 256
-// entries); n <= 0 disables the cache.
+// WithResultCache overrides each dataset's memo capacity (default 256
+// answers): the Sharer that /v1/topk and /v1/query share keeps at most n
+// answers of the dataset's newest snapshot epoch, evicting the least
+// recently used. n <= 0 memoizes nothing; concurrent identical queries
+// still share one execution.
 func WithResultCache(n int) Option {
-	return func(s *Server) {
-		if n <= 0 {
-			s.cache = nil
-			return
-		}
-		s.cache = newResultCache(n)
-	}
+	return func(s *Server) { s.memoSize = max(n, 0) }
 }
 
 // WithAdminToken protects the admin endpoints (dataset load/unload) with
@@ -206,7 +209,7 @@ func New(g *graph.Graph, opts ...Option) (*Server, error) {
 	}
 	s := &Server{
 		mux:          http.NewServeMux(),
-		cache:        newResultCache(256),
+		memoSize:     256,
 		maxK:         10000,
 		queryTimeout: 30 * time.Second,
 		inflight:     make(chan struct{}, 4*runtime.GOMAXPROCS(0)),
@@ -226,9 +229,9 @@ func New(g *graph.Graph, opts ...Option) (*Server, error) {
 	s.pendingDatasets = nil
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("GET /v1/topk", s.handleTopK)
-	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
-	s.mux.HandleFunc("GET "+cluster.StreamPath, s.handleShardStream)
+	s.mux.HandleFunc("GET /v1/topk", s.admit(&s.metrics.queries, s.handleTopK))
+	s.mux.HandleFunc("POST /v1/query", s.admit(&s.metrics.dslQueries, s.handleQuery))
+	s.mux.HandleFunc("GET "+cluster.StreamPath, s.admit(&s.metrics.queries, s.handleShardStream))
 	s.mux.HandleFunc("GET /v1/datasets", s.handleListDatasets)
 	s.mux.HandleFunc("POST /v1/admin/datasets", s.handleLoadDataset)
 	s.mux.HandleFunc("DELETE /v1/admin/datasets/{name}", s.handleUnloadDataset)
@@ -284,8 +287,8 @@ type statsResponse struct {
 	MaxInFlight int     `json:"max_in_flight"`
 
 	// Serving-path split: IndexQueries were answered from a prebuilt
-	// index, LocalQueries by online search (LocalSearch or truss),
-	// CacheHits straight from the result cache.
+	// index, LocalQueries by online search (LocalSearch or truss). Answers
+	// shared with another execution count in neither.
 	IndexLoaded   bool  `json:"index_loaded"`
 	IndexGammaMax int32 `json:"index_gamma_max,omitempty"`
 	IndexQueries  int64 `json:"index_queries"`
@@ -317,6 +320,10 @@ type statsResponse struct {
 	SnapshotEpoch  uint64 `json:"snapshot_epoch,omitempty"`
 	UpdatesApplied int64  `json:"updates_applied,omitempty"`
 
+	// Memo counters: CacheCapacity is each dataset's memo capacity,
+	// CacheEntries the answers the memos hold summed over datasets, and
+	// CacheHits and CacheMisses the /v1/topk requests answered by shared
+	// work and by their own execution.
 	CacheCapacity int   `json:"cache_capacity"`
 	CacheEntries  int   `json:"cache_entries"`
 	CacheHits     int64 `json:"cache_hits"`
@@ -340,6 +347,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		DSLQueries:   s.metrics.dslQueries.Load(),
 		PlanNodes:    s.metrics.planNodes.Load(),
 		CSEHits:      s.metrics.cseHits.Load(),
+
+		CacheCapacity: s.memoSize,
+		CacheHits:     s.metrics.cacheHits.Load(),
+		CacheMisses:   s.metrics.cacheMisses.Load(),
 	}
 	if ds := s.registry.lookup(DefaultDataset); ds != nil {
 		if g := ds.st.Graph(); g != nil {
@@ -363,13 +374,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			resp.UpdatesApplied = ms.UpdatesApplied()
 		}
 	}
-	if s.cache != nil {
-		resp.CacheCapacity = s.cache.capacity
-		resp.CacheEntries = s.cache.len()
-		resp.CacheHits = s.cache.hits.Load()
-		resp.CacheMisses = s.cache.misses.Load()
-	}
 	resp.Datasets = s.Datasets()
+	s.registry.mu.RLock()
+	for _, ds := range s.registry.datasets {
+		resp.CacheEntries += ds.sharer.Len()
+	}
+	s.registry.mu.RUnlock()
 	if resp.Queries > 0 {
 		resp.AvgLatency = float64(s.metrics.durationUS.Load()) / 1000 / float64(resp.Queries)
 	}
@@ -388,14 +398,16 @@ type topKResponse struct {
 	Gamma int    `json:"gamma"`
 	Mode  string `json:"mode"`
 	// Path is the access path that answered: query.PathIndex, PathLocal
-	// or PathTruss. A cache hit reports the execution that filled it.
+	// or PathTruss. A cached response reports the execution it shared.
 	Path        string          `json:"path"`
 	Communities []communityJSON `json:"communities"`
-	ElapsedMS   float64         `json:"elapsed_ms"`
+	// ElapsedMS is the request's execution time; 0 when Cached.
+	ElapsedMS float64 `json:"elapsed_ms"`
 	// AccessedVertices reports how much of the graph the local search
 	// touched.
 	AccessedVertices int `json:"accessed_vertices,omitempty"`
-	// Cached marks responses served from the result cache.
+	// Cached marks responses answered by shared work: a memo hit, or a
+	// join on an identical execution in flight.
 	Cached bool `json:"cached,omitempty"`
 }
 
@@ -406,31 +418,55 @@ type httpError struct {
 
 func (e *httpError) Error() string { return e.msg }
 
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	// Admission control: a saturated server sheds load immediately rather
-	// than queueing unbounded work behind slow searches.
-	if s.inflight != nil {
-		select {
-		case s.inflight <- struct{}{}:
-			defer func() { <-s.inflight }()
-		default:
-			s.metrics.rejected.Add(1)
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "server saturated, retry later"})
-			return
+// admit wraps a query route in the admission step every route shares: a
+// saturated server sheds load immediately (503) rather than queueing
+// unbounded work behind slow searches; an admitted request is counted in
+// count and in flight, and serve runs under the per-request deadline.
+func (s *Server) admit(count *atomic.Int64, serve func(context.Context, http.ResponseWriter, *http.Request)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if s.inflight != nil {
+			select {
+			case s.inflight <- struct{}{}:
+				defer func() { <-s.inflight }()
+			default:
+				s.metrics.rejected.Add(1)
+				w.Header().Set("Retry-After", "1")
+				writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "server saturated, retry later"})
+				return
+			}
 		}
-	}
-	s.metrics.queries.Add(1)
-	s.metrics.inFlight.Add(1)
-	defer s.metrics.inFlight.Add(-1)
+		count.Add(1)
+		s.metrics.inFlight.Add(1)
+		defer s.metrics.inFlight.Add(-1)
 
-	ctx := r.Context()
-	if s.queryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.queryTimeout)
-		defer cancel()
+		ctx := r.Context()
+		if s.queryTimeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, s.queryTimeout)
+			defer cancel()
+		}
+		serve(ctx, w, r)
 	}
+}
 
+// acquire resolves a request's dataset (empty name: the default), takes
+// the in-flight reference an unload waits on, and pins the snapshot every
+// node of the request runs on. The caller releases pin.ds.
+func (s *Server) acquire(name string) (pinned, error) {
+	if name == "" {
+		name = DefaultDataset
+	}
+	// Resolve and reference in one step: an admin unload concurrent with
+	// this request only releases the backend once we are done.
+	ds := s.registry.acquireLookup(name)
+	if ds == nil {
+		return pinned{}, &httpError{http.StatusNotFound, fmt.Sprintf("dataset %q is not loaded", name)}
+	}
+	ds.queries.Add(1)
+	return ds.pin(), nil
+}
+
+func (s *Server) handleTopK(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	resp, err := s.topK(ctx, r)
 	s.metrics.durationUS.Add(time.Since(start).Microseconds())
@@ -461,43 +497,23 @@ func (s *Server) classify(err error) int {
 	return http.StatusInternalServerError
 }
 
+// topK answers one fixed-shape query through the dataset's Sharer, under
+// the key a DSL node of the same shape carries: identical /v1/topk
+// requests and /v1/query nodes at one snapshot epoch share one execution.
 func (s *Server) topK(ctx context.Context, r *http.Request) (*topKResponse, error) {
 	q := r.URL.Query()
 	p, err := parseQueryParams(q, s.maxK)
 	if err != nil {
 		return nil, err
 	}
-
-	name := q.Get("dataset")
-	if name == "" {
-		name = DefaultDataset
+	pin, err := s.acquire(q.Get("dataset"))
+	if err != nil {
+		return nil, err
 	}
-	// Resolve and pin in one step: an admin unload concurrent with this
-	// request only releases the backend once we are done.
-	ds := s.registry.acquireLookup(name)
-	if ds == nil {
-		return nil, &httpError{http.StatusNotFound, fmt.Sprintf("dataset %q is not loaded", name)}
-	}
-	defer ds.release()
-	ds.queries.Add(1)
-
-	// The snapshot is pinned once, before the cache lookup: its epoch keys
-	// the cache entry and selects the index, and the query runs on exactly
-	// that snapshot, so an entry always answers for the epoch it is keyed
-	// under. A concurrent update leaves the entry under an epoch no future
-	// request carries (monotonic, so it just ages out of the LRU).
-	pin := ds.pin()
-	key := cacheKey{dataset: name, gen: ds.gen, epoch: pin.epoch, k: p.K, gamma: int(p.Gamma), mode: p.Mode}
-	if s.cache != nil {
-		if hit, ok := s.cache.get(key); ok { // hit/miss counters live on the cache
-			resp := *hit // shallow copy; communities are immutable once built
-			resp.Cached = true
-			return &resp, nil
-		}
-	}
+	defer pin.ds.release()
 
 	start := time.Now()
-	er, err := s.execute(ctx, &pin, query.Node{K: p.K, Gamma: p.Gamma, Mode: p.Mode}, false, nil)
+	er, shared, err := s.executeNode(ctx, &pin, query.FixedNode(p.K, p.Gamma, p.Mode), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -505,12 +521,13 @@ func (s *Server) topK(ctx context.Context, r *http.Request) (*topKResponse, erro
 		K: p.K, Gamma: int(p.Gamma), Mode: p.Mode, Path: er.Path,
 		Communities:      er.Communities,
 		AccessedVertices: er.Accessed,
-		ElapsedMS:        float64(time.Since(start)) / float64(time.Millisecond),
+		Cached:           shared,
 	}
-	if s.cache != nil {
-		cached := *resp
-		cached.ElapsedMS = 0
-		s.cache.put(key, &cached)
+	if shared {
+		s.metrics.cacheHits.Add(1)
+	} else {
+		s.metrics.cacheMisses.Add(1)
+		resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 	}
 	return resp, nil
 }

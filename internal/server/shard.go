@@ -29,32 +29,13 @@ import (
 // while the shard is still working. A shard mid-update keeps serving the
 // snapshot it pinned at the header; the epoch it reports is exactly that
 // snapshot's.
-func (s *Server) handleShardStream(w http.ResponseWriter, r *http.Request) {
-	// Shard streams share the query admission control: a saturated shard
-	// sheds coordinators like it sheds clients, and the coordinator's
-	// failover treats the 503 like any other replica failure.
-	if s.inflight != nil {
-		select {
-		case s.inflight <- struct{}{}:
-			defer func() { <-s.inflight }()
-		default:
-			s.metrics.rejected.Add(1)
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "server saturated, retry later"})
-			return
-		}
-	}
-	s.metrics.queries.Add(1)
+//
+// Shard streams share the query admission step: a saturated shard sheds
+// coordinators like it sheds clients, and the coordinator's failover
+// treats the 503 like any other replica failure. Streams are never
+// memoized: they are progressive and bounded by limit.
+func (s *Server) handleShardStream(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 	s.metrics.shardStreams.Add(1)
-	s.metrics.inFlight.Add(1)
-	defer s.metrics.inFlight.Add(-1)
-
-	ctx := r.Context()
-	if s.queryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.queryTimeout)
-		defer cancel()
-	}
 
 	q := r.URL.Query()
 	p, err := parseQueryParams(q, s.maxK)
@@ -76,23 +57,16 @@ func (s *Server) handleShardStream(w http.ResponseWriter, r *http.Request) {
 	}
 	p.K = limit
 
-	name := q.Get("dataset")
-	if name == "" {
-		name = DefaultDataset
-	}
-	ds := s.registry.acquireLookup(name)
-	if ds == nil {
-		s.metrics.errors.Add(1)
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("dataset %q is not loaded", name)})
-		return
-	}
-	defer ds.release()
-	ds.queries.Add(1)
-
 	// Pin the snapshot once: the whole stream — header, every community,
 	// trailer — describes exactly that snapshot, however many update
 	// batches land while it runs.
-	pin := ds.pin()
+	pin, err := s.acquire(q.Get("dataset"))
+	if err != nil {
+		writeJSON(w, s.classify(err), map[string]string{"error": err.Error()})
+		return
+	}
+	ds := pin.ds
+	defer ds.release()
 
 	// Mode/backend validation must fail as an HTTP status, before the 200
 	// and the header line commit us to the stream framing.
@@ -117,7 +91,7 @@ func (s *Server) handleShardStream(w http.ResponseWriter, r *http.Request) {
 		return true
 	}
 	if !writeLine(cluster.StreamLine{Header: &cluster.StreamHeader{
-		Dataset: name, Mode: p.Mode, SnapshotEpoch: pin.epoch,
+		Dataset: ds.name, Mode: p.Mode, SnapshotEpoch: pin.epoch,
 	}}) {
 		return
 	}

@@ -55,8 +55,8 @@ const maxUpdateBatch = 1 << 20
 // keeps serving throughout — in-flight queries finish on the snapshot they
 // pinned, queries arriving after the response see the updated graph. A
 // prebuilt index on the dataset is invalidated (updates change the
-// decomposition it materialized) and the result cache stops matching old
-// entries via the epoch in its key.
+// decomposition it materialized) and the dataset's memo frees the older
+// epoch's answers at the first query on the new one.
 func (s *Server) handleApplyUpdates(w http.ResponseWriter, r *http.Request) {
 	if !s.adminAllowed(w, r) {
 		return
@@ -138,11 +138,6 @@ func (s *Server) handleApplyUpdates(w http.ResponseWriter, r *http.Request) {
 			if ds.indexDropped.Load() {
 				resp.Index = outcomeDropped
 			}
-		}
-		// Purge the dataset's cached results; the epoch in the cache key
-		// already fences them off, the purge just frees the memory early.
-		if s.cache != nil {
-			s.cache.invalidateDataset(name)
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
