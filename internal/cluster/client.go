@@ -36,8 +36,9 @@ const maxLineBytes = 16 << 20
 // Every failure before the header — connection refused, non-200 status, a
 // malformed or missing header — is an open-time failure: nothing from this
 // replica has been consumed, so the caller can fail over to the next replica
-// without disturbing an in-progress merge. A 400 comes back as a
-// *RequestError: the shard refused the request, not for its own health.
+// without disturbing an in-progress merge. A 400, or a 404 for a dataset
+// the shard does not serve, comes back as a *RequestError: the shard
+// refused the request, not for its own health.
 func openStream(ctx context.Context, client *http.Client, base, dataset, mode string, gamma int32, limit int) (*shardStream, error) {
 	v := url.Values{}
 	v.Set("gamma", strconv.Itoa(int(gamma)))
@@ -59,8 +60,8 @@ func openStream(ctx context.Context, client *http.Client, base, dataset, mode st
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
 		resp.Body.Close()
 		err := fmt.Errorf("cluster: %s returned %d: %s", base, resp.StatusCode, strings.TrimSpace(string(msg)))
-		if resp.StatusCode == http.StatusBadRequest {
-			return nil, &RequestError{err}
+		if resp.StatusCode == http.StatusBadRequest || resp.StatusCode == http.StatusNotFound {
+			return nil, &RequestError{Err: err, NotFound: resp.StatusCode == http.StatusNotFound}
 		}
 		return nil, err
 	}

@@ -307,16 +307,21 @@ func (c *Coordinator) Stats() Stats {
 
 // RequestError is a query refused as the client's fault rather than any
 // replica's: a malformed batch, an out-of-range parameter, or every
-// replica of a shard answering 400. It trips no breaker, fails the query
-// even in partial mode, and iccoord answers it with 400.
-type RequestError struct{ Err error }
+// replica of a shard answering 400 or 404. It trips no breaker, fails the
+// query even in partial mode, and iccoord answers it with 400, or with 404
+// when NotFound.
+type RequestError struct {
+	Err error
+	// NotFound marks a refusal for a dataset no replica serves.
+	NotFound bool
+}
 
 func (e *RequestError) Error() string { return e.Err.Error() }
 func (e *RequestError) Unwrap() error { return e.Err }
 
 // badRequest returns a *RequestError with a formatted message.
 func badRequest(format string, args ...any) error {
-	return &RequestError{fmt.Errorf(format, args...)}
+	return &RequestError{Err: fmt.Errorf(format, args...)}
 }
 
 // isRequestError reports whether err is, or wraps, a *RequestError.
@@ -556,11 +561,12 @@ func (c *Coordinator) openWithHedge(ctx context.Context, si int, dataset string,
 // merge. Once a header is delivered the stream is committed: a later
 // failure is reported as an err item and the merge decides whether a full
 // restart is needed. Replicas whose breaker is open (and not yet due a
-// trial) are skipped without costing a timeout. A replica's 400 costs no
-// breaker failure, and the walk fails over and never asks it again: the
-// refusal may be that replica's configuration (a semi-external backend
-// refusing truss, a lower -maxk). Only if every replica in the walk
-// refused is the request at fault, reported as a *RequestError.
+// trial) are skipped without costing a timeout. A replica's 400 or 404
+// costs no breaker failure, and the walk fails over and never asks it
+// again: the refusal may be that replica's configuration (a semi-external
+// backend refusing truss, a lower -maxk, a dataset it was not given). Only
+// if every replica in the walk refused is the request at fault, reported
+// as a *RequestError.
 func (c *Coordinator) readShard(ctx context.Context, si int, dataset string, plan []attempt, start, limit int, gamma int32, mode string, out chan<- shardItem) {
 	sh := c.shards[si]
 	if sh.Dataset != "" {
@@ -568,7 +574,7 @@ func (c *Coordinator) readShard(ctx context.Context, si int, dataset string, pla
 	}
 	var lastErr error
 	attempted := false
-	refused := make([]bool, len(c.reps[si])) // replicas that answered 400
+	refused := make([]bool, len(c.reps[si])) // replicas that answered 400 or 404
 	allRefused := true
 	for pos := start; pos < len(plan); pos++ {
 		if refused[plan[pos].rep] {

@@ -84,10 +84,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // errorStatus maps a coordinator error to its HTTP status: the client's
-// fault is a 400, a missed deadline a 504, and any shard failure a 502.
+// fault is a 400 (a 404 for a dataset no replica serves), a missed deadline
+// a 504, and any shard failure a 502.
 func errorStatus(err error) int {
+	var re *RequestError
 	switch {
-	case isRequestError(err):
+	case errors.As(err, &re) && re.NotFound:
+		return http.StatusNotFound
+	case re != nil:
 		return http.StatusBadRequest
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout

@@ -8,17 +8,17 @@ import (
 	"influcomm/internal/query"
 )
 
-// This file is the cluster side of the query DSL (internal/query): the one
-// community renderer every serving surface shares, the filter-pipeline
-// evaluator, and the coordinator batch executor that deduplicates plan
-// fragments before scattering them down the existing NDJSON shard streams.
+// This file is the cluster side of the query DSL (internal/query): the
+// reference community renderer, the filter pipeline over flat lists, and
+// the coordinator batch executor that deduplicates plan fragments before
+// scattering them down the existing NDJSON shard streams.
 
 // Render converts one raw search result into the wire Community shape.
-// Every serving surface — single-node /v1/topk, shard streams, merged
-// coordinator answers, DSL plan nodes — renders through this function, so
-// equality across surfaces is byte-equality. With a whole graph, keynode
-// and members are translated to original vertex IDs and labels are
-// attached; without one (semi-external backends) they stay weight ranks.
+// It is the reference every serving surface matches byte for byte: the
+// forest renderer (Answer, Renderer) writes what encoding/json writes for
+// Render's output, without building it. With a whole graph, keynode and
+// members are translated to original vertex IDs and labels are attached;
+// without one (semi-external backends) they stay weight ranks.
 func Render(g *graph.Graph, influence float64, keynode int32, members []int32) Community {
 	c := Community{
 		Influence: influence,
@@ -40,27 +40,27 @@ func Render(g *graph.Graph, influence float64, keynode int32, members []int32) C
 }
 
 // ApplyDSLFilters runs a statement's filter pipeline over a plan node's
-// communities, in pipeline order: predicates (label/influence/size) keep or
-// drop, limit truncates what has survived so far. The input is never
-// mutated — shared plan-node results stay intact for the other statements
-// reusing them — and an empty pipeline returns the input as-is, preserving
-// byte-identity with the unfiltered fixed-shape answer.
+// flat communities through selectPositions. The input is never mutated —
+// shared plan-node results stay intact for the other statements reusing
+// them — and a pipeline without predicates returns the input, or a prefix
+// of it, preserving byte-identity with the unfiltered fixed-shape answer.
 func ApplyDSLFilters(fs []query.Filter, comms []Community) []Community {
-	out := comms
-	for _, f := range fs {
-		if f.Name == query.FilterLimit {
-			if len(out) > f.Int {
-				out = out[:f.Int:f.Int]
-			}
-			continue
+	if len(fs) == 0 {
+		return comms
+	}
+	pos, predicated := selectPositions(fs, len(comms), func(f query.Filter, i int) bool {
+		c := &comms[i]
+		return f.Keep(c.Influence, c.Size, c.Labels)
+	}, nil)
+	if !predicated {
+		if len(pos) < len(comms) {
+			return comms[:len(pos):len(pos)]
 		}
-		kept := make([]Community, 0, len(out))
-		for _, c := range out {
-			if f.Keep(c.Influence, c.Size, c.Labels) {
-				kept = append(kept, c)
-			}
-		}
-		out = kept
+		return comms
+	}
+	out := make([]Community, len(pos))
+	for j, i := range pos {
+		out[j] = comms[i]
 	}
 	return out
 }
@@ -120,11 +120,11 @@ type QueryResult struct {
 func (c *Coordinator) Query(ctx context.Context, dataset, src string, maxK int) (*QueryResult, error) {
 	q, err := query.Parse(src)
 	if err != nil {
-		return nil, &RequestError{err}
+		return nil, &RequestError{Err: err}
 	}
 	nodes, err := query.PlanQuery(q, func(mode string, near bool) string { return query.PathScatter })
 	if err != nil {
-		return nil, &RequestError{err}
+		return nil, &RequestError{Err: err}
 	}
 	for _, n := range nodes {
 		if !n.FixedShape() {

@@ -7,6 +7,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -563,6 +564,46 @@ func TestClientErrorTripsNoBreaker(t *testing.T) {
 	code, body := postClusterQuery(t, front, `{"query":"topk(k=3, gamma=1, semantics=truss)"}`)
 	if code != http.StatusBadRequest {
 		t.Errorf("truss γ=1 batch: status %d (%s), want 400", code, body)
+	}
+}
+
+// TestUnknownDatasetTripsNoBreaker: a dataset no replica serves is the
+// request's fault. Each shard's 404 fails over without a breaker failure,
+// iccoord answers 404, and the next valid query still answers 200.
+func TestUnknownDatasetTripsNoBreaker(t *testing.T) {
+	g := clusterTestGraph(t)
+	coord, err := cluster.NewCoordinator(shardServers(t, g, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	front := httptest.NewServer(cluster.NewHandler(coord, 10000))
+	defer front.Close()
+
+	get := func(params string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(front.URL + "/v1/topk?" + params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(b)
+	}
+	for i := 0; i < 6; i++ {
+		if code, body := get("k=3&gamma=2&dataset=nope"); code != http.StatusNotFound {
+			t.Fatalf("unknown dataset (request %d): status %d (%s), want 404", i, code, body)
+		}
+	}
+	if trips := coord.Stats().BreakerTrips; trips != 0 {
+		t.Errorf("breaker_trips = %d after unknown-dataset queries, want 0", trips)
+	}
+	if code, body := get("k=3&gamma=2"); code != http.StatusOK {
+		t.Errorf("valid query after unknown-dataset queries: status %d (%s)", code, body)
+	}
+	code, body := postClusterQuery(t, front, `{"query":"topk(k=3, gamma=2)","dataset":"nope"}`)
+	if code != http.StatusNotFound {
+		t.Errorf("unknown-dataset batch: status %d (%s), want 404", code, body)
 	}
 }
 

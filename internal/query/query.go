@@ -191,7 +191,7 @@ func (f Filter) Keep(influence float64, size int, labels []string) bool {
 	switch f.Name {
 	case FilterLabel:
 		for _, l := range labels {
-			if globMatch(f.Pattern, l) {
+			if f.MatchLabel(l) {
 				return true
 			}
 		}
@@ -205,6 +205,10 @@ func (f Filter) Keep(influence float64, size int, labels []string) bool {
 		return true
 	}
 }
+
+// MatchLabel reports whether one member label matches a label filter's
+// pattern: a community passes the filter when any member label matches.
+func (f Filter) MatchLabel(l string) bool { return globMatch(f.Pattern, l) }
 
 func cmpFloat(op string, a, b float64) bool {
 	switch op {

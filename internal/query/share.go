@@ -16,11 +16,11 @@ import (
 // epochs, so an answer computed before an update is never served for a
 // plan node that must see the update.
 //
-// The memo holds only the newest epoch the Sharer has seen: the first Do at
-// a newer epoch drops every older answer, whichever path published the
-// update. A Do at an older epoch — a request pinned before the update —
-// still joins identical in-flight work at its epoch, but its answer is not
-// memoized.
+// The memo holds only the newest epoch the Sharer has seen: Advance, or the
+// first Do at a newer epoch, drops every older answer, whichever path
+// published the update. A Do at an older epoch — a request pinned before
+// the update — still joins identical in-flight work at its epoch, but its
+// answer is not memoized.
 //
 // Errors are never memoized; a leader cancelled by its own caller is
 // retried by any follower whose context is still live.
@@ -77,13 +77,7 @@ func (s *Sharer) Do(ctx context.Context, epoch uint64, key string, fn func() (an
 	ck := callKey{epoch, key}
 	for {
 		s.mu.Lock()
-		if epoch > s.epoch {
-			// A newer snapshot is published: no later request can read the
-			// older answers, so free them now.
-			clear(s.memo)
-			s.lru.Init()
-			s.epoch = epoch
-		}
+		s.advance(epoch)
 		if el, ok := s.memo[key]; ok && epoch == s.epoch {
 			s.lru.MoveToFront(el)
 			s.mu.Unlock()
@@ -130,6 +124,24 @@ func (s *Sharer) Do(ctx context.Context, epoch uint64, key string, fn func() (an
 		s.mu.Unlock()
 		close(c.done)
 		return c.val, false, c.err
+	}
+}
+
+// Advance tells the Sharer that epoch is published. If it is newer than
+// every epoch seen so far, no later request can read the older answers, so
+// the memo frees them now instead of at the first Do on the new epoch: a
+// memoized answer can hold its snapshot's graph alive.
+func (s *Sharer) Advance(epoch uint64) {
+	s.mu.Lock()
+	s.advance(epoch)
+	s.mu.Unlock()
+}
+
+func (s *Sharer) advance(epoch uint64) {
+	if epoch > s.epoch {
+		clear(s.memo)
+		s.lru.Init()
+		s.epoch = epoch
 	}
 }
 

@@ -39,9 +39,11 @@ func parseQueryParams(q url.Values, maxK int) (queryParams, error) {
 // execResult is what one executed node produced, before any transport
 // framing (HTTP envelope, stream lines) is applied.
 type execResult struct {
-	// Communities is the rendered answer when execute collected it; nil
-	// when the communities went to an emit function instead.
-	Communities []communityJSON
+	// Answer is the node's communities as the search returned them, with
+	// the snapshot's graph to render them, when execute collected them;
+	// nil when the communities went to an emit function instead. It is
+	// rendered only while a response is written, so the memo holds forests.
+	Answer *cluster.Answer
 	// Sent counts the communities an emit function accepted.
 	Sent int
 	// Accessed is the final LocalSearch prefix; 0 on the index path.
@@ -72,13 +74,13 @@ func (d *dataset) pin() pinned {
 }
 
 // execute runs plan node n on the pinned snapshot through query.Exec — the
-// one path switch every route shares — and renders each community it
-// yields against the snapshot's graph (weight ranks when the backend has
-// none). With emit nil the communities are collected into the result;
+// one path switch every route shares. With emit nil the communities are
+// collected, unrendered, into the result's Answer, which renders against
+// the snapshot's graph (weight ranks when the backend has none);
 // otherwise each goes to emit, and the run stops once emit refuses one or
 // n.K were sent. Only the shard stream sets progressive. Serving-path
 // metrics are counted here.
-func (s *Server) execute(ctx context.Context, pin *pinned, n query.Node, progressive bool, emit func(communityJSON) bool) (*execResult, error) {
+func (s *Server) execute(ctx context.Context, pin *pinned, n query.Node, progressive bool, emit func(query.Community) bool) (*execResult, error) {
 	g := pin.search.Graph()
 	t := query.Target{Search: pin.search, Index: pin.ix}
 	if n.Mode == query.SemTruss {
@@ -88,14 +90,16 @@ func (s *Server) execute(ctx context.Context, pin *pinned, n query.Node, progres
 		t.Truss = pin.ds.truss(g, pin.epoch)
 	}
 	out := &execResult{}
+	if emit == nil {
+		out.Answer = cluster.NewAnswer(g)
+	}
 	limit := n.K
 	path, accessed, err := query.Exec(ctx, t, n, progressive, func(c query.Community) bool {
-		rc := cluster.Render(g, c.Influence(), c.Keynode(), c.Vertices())
 		if emit == nil {
-			out.Communities = append(out.Communities, rc)
+			out.Answer.Add(c)
 			return true
 		}
-		if !emit(rc) {
+		if !emit(c) {
 			return false
 		}
 		out.Sent++

@@ -35,7 +35,8 @@ type queryRequest struct {
 	Dataset string `json:"dataset,omitempty"`
 }
 
-// queryResponse is the /v1/query payload.
+// queryResponse is the /v1/query payload, as appendQueryResponse writes
+// it.
 type queryResponse struct {
 	// Query echoes the batch in canonical form.
 	Query string `json:"query"`
@@ -71,34 +72,44 @@ type nodeResult struct {
 	Path  string `json:"path"`
 	// Shared marks nodes served by shared work (a memo hit or a join on an
 	// in-flight identical node) rather than a fresh execution.
-	Shared      bool            `json:"shared,omitempty"`
+	Shared bool `json:"shared,omitempty"`
+	// Communities is the node's answer after the statement's filters,
+	// rendered while the response is written; the server never fills the
+	// field.
 	Communities []communityJSON `json:"communities"`
 	// AccessedVertices reports the LocalSearch prefix the node's execution
 	// touched; 0 on the index path.
 	AccessedVertices int `json:"accessed_vertices,omitempty"`
+
+	// answer, filtered by filters, is what the writer renders as
+	// Communities.
+	answer  *cluster.Answer
+	filters []query.Filter
 }
 
 func (s *Server) handleQuery(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 	// DSL batches are counted separately (dsl_queries, by admit) so the
 	// classic per-query latency average stays comparable.
 	start := time.Now()
-	resp, err := s.runQueryBatch(ctx, w, r)
-	if err != nil {
+	body := getBody()
+	defer putBody(body)
+	if err := s.runQueryBatch(ctx, w, r, start, body); err != nil {
 		writeJSON(w, s.classify(err), map[string]string{"error": err.Error()})
 		return
 	}
-	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	writeJSON(w, http.StatusOK, resp)
+	writeBody(w, http.StatusOK, *body)
 }
 
-func (s *Server) runQueryBatch(ctx context.Context, w http.ResponseWriter, r *http.Request) (*queryResponse, error) {
+// runQueryBatch executes one batch and renders its response into body;
+// elapsed_ms counts from start.
+func (s *Server) runQueryBatch(ctx context.Context, w http.ResponseWriter, r *http.Request, start time.Time, body *[]byte) error {
 	var req queryRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(&req); err != nil {
-		return nil, &httpError{http.StatusBadRequest, "bad request body: " + err.Error()}
+		return &httpError{http.StatusBadRequest, "bad request body: " + err.Error()}
 	}
 	q, err := query.Parse(req.Query)
 	if err != nil {
-		return nil, &httpError{http.StatusBadRequest, err.Error()}
+		return &httpError{http.StatusBadRequest, err.Error()}
 	}
 
 	// One pin serves the whole batch: every node runs on the pinned
@@ -106,16 +117,16 @@ func (s *Server) runQueryBatch(ctx context.Context, w http.ResponseWriter, r *ht
 	// request, so the reported snapshot_epoch is the one that answered.
 	pin, err := s.acquire(req.Dataset)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer pin.ds.release()
 	nodes, err := query.PlanQuery(q, nil)
 	if err != nil {
-		return nil, &httpError{http.StatusBadRequest, err.Error()}
+		return &httpError{http.StatusBadRequest, err.Error()}
 	}
 	for _, n := range nodes {
 		if n.K > s.maxK {
-			return nil, &httpError{http.StatusBadRequest, "k must be in [1, " + strconv.Itoa(s.maxK) + "]"}
+			return &httpError{http.StatusBadRequest, "k must be in [1, " + strconv.Itoa(s.maxK) + "]"}
 		}
 	}
 	s.metrics.planNodes.Add(int64(len(nodes)))
@@ -139,7 +150,7 @@ func (s *Server) runQueryBatch(ctx context.Context, w http.ResponseWriter, r *ht
 		if er == nil {
 			var err error
 			if er, shared, err = s.executeNode(ctx, &pin, n, reweighted); err != nil {
-				return nil, err
+				return err
 			}
 			done[n.Key] = er
 		}
@@ -153,11 +164,19 @@ func (s *Server) runQueryBatch(ctx context.Context, w http.ResponseWriter, r *ht
 			Mode:             n.Mode,
 			Path:             er.Path,
 			Shared:           shared,
-			Communities:      cluster.ApplyDSLFilters(q.Statements[n.Stmt].Filters, er.Communities),
 			AccessedVertices: er.Accessed,
+			answer:           er.Answer,
+			filters:          q.Statements[n.Stmt].Filters,
 		})
 	}
-	return resp, nil
+	// The statement's filters run on each community's size and influence
+	// before anything renders; only what survives is written.
+	*body = appendQueryResponse(*body, resp, func(b []byte, n *nodeResult) []byte {
+		return n.answer.AppendJSON(b, n.filters)
+	}, func() float64 {
+		return float64(time.Since(start)) / float64(time.Millisecond)
+	})
+	return nil
 }
 
 // executeNode runs one plan node on the pinned snapshot with cross-query

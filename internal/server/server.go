@@ -388,20 +388,23 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // communityJSON is one community of a /v1/topk response. It is the cluster
 // wire shape: single-node responses, shard stream data lines, and merged
-// coordinator responses all marshal the same struct, so equal communities
-// are byte-equal across the three.
+// coordinator responses all encode as this struct does, so equal
+// communities are byte-equal across the three.
 type communityJSON = cluster.Community
 
-// topKResponse is the /v1/topk payload.
+// topKResponse is the /v1/topk payload, as appendTopK writes it.
 type topKResponse struct {
 	K     int    `json:"k"`
 	Gamma int    `json:"gamma"`
 	Mode  string `json:"mode"`
 	// Path is the access path that answered: query.PathIndex, PathLocal
 	// or PathTruss. A cached response reports the execution it shared.
-	Path        string          `json:"path"`
+	Path string `json:"path"`
+	// Communities is rendered from the answer's forest while the response
+	// is written; the server never fills the field.
 	Communities []communityJSON `json:"communities"`
-	// ElapsedMS is the request's execution time; 0 when Cached.
+	// ElapsedMS is the request's execution and rendering time; 0 when
+	// Cached.
 	ElapsedMS float64 `json:"elapsed_ms"`
 	// AccessedVertices reports how much of the graph the local search
 	// touched.
@@ -468,13 +471,15 @@ func (s *Server) acquire(name string) (pinned, error) {
 
 func (s *Server) handleTopK(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	resp, err := s.topK(ctx, r)
+	body := getBody()
+	defer putBody(body)
+	err := s.topK(ctx, r, body)
 	s.metrics.durationUS.Add(time.Since(start).Microseconds())
 	if err != nil {
 		writeJSON(w, s.classify(err), map[string]string{"error": err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeBody(w, http.StatusOK, *body)
 }
 
 // classify maps a query error to an HTTP status, counting it in the
@@ -500,36 +505,43 @@ func (s *Server) classify(err error) int {
 // topK answers one fixed-shape query through the dataset's Sharer, under
 // the key a DSL node of the same shape carries: identical /v1/topk
 // requests and /v1/query nodes at one snapshot epoch share one execution.
-func (s *Server) topK(ctx context.Context, r *http.Request) (*topKResponse, error) {
+// The response is rendered into body.
+func (s *Server) topK(ctx context.Context, r *http.Request, body *[]byte) error {
 	q := r.URL.Query()
 	p, err := parseQueryParams(q, s.maxK)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	pin, err := s.acquire(q.Get("dataset"))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer pin.ds.release()
 
 	start := time.Now()
 	er, shared, err := s.executeNode(ctx, &pin, query.FixedNode(p.K, p.Gamma, p.Mode), nil)
 	if err != nil {
-		return nil, err
-	}
-	resp := &topKResponse{
-		K: p.K, Gamma: int(p.Gamma), Mode: p.Mode, Path: er.Path,
-		Communities:      er.Communities,
-		AccessedVertices: er.Accessed,
-		Cached:           shared,
+		return err
 	}
 	if shared {
 		s.metrics.cacheHits.Add(1)
 	} else {
 		s.metrics.cacheMisses.Add(1)
-		resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 	}
-	return resp, nil
+	resp := topKResponse{
+		K: p.K, Gamma: int(p.Gamma), Mode: p.Mode, Path: er.Path,
+		AccessedVertices: er.Accessed,
+		Cached:           shared,
+	}
+	*body = appendTopK(*body, &resp, func(b []byte) []byte {
+		return er.Answer.AppendJSON(b, nil)
+	}, func() float64 {
+		if shared {
+			return 0
+		}
+		return float64(time.Since(start)) / float64(time.Millisecond)
+	})
+	return nil
 }
 
 // queryError passes context errors through for classify and wraps anything

@@ -80,15 +80,20 @@ func (s *Server) handleShardStream(ctx context.Context, w http.ResponseWriter, r
 	start := time.Now()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	writeLine := func(line cluster.StreamLine) bool {
-		if err := enc.Encode(line); err != nil {
+	body := getBody()
+	defer putBody(body)
+	write := func(b []byte) bool {
+		if _, err := w.Write(b); err != nil {
 			return false
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
 		return true
+	}
+	writeLine := func(line cluster.StreamLine) bool {
+		b, err := json.Marshal(line)
+		return err == nil && write(append(b, '\n'))
 	}
 	if !writeLine(cluster.StreamLine{Header: &cluster.StreamHeader{
 		Dataset: ds.name, Mode: p.Mode, SnapshotEpoch: pin.epoch,
@@ -98,9 +103,16 @@ func (s *Server) handleShardStream(ctx context.Context, w http.ResponseWriter, r
 
 	// Online paths stream progressively (LocalSearch-P on every backend,
 	// or the truss stream), so the work stops where the coordinator's
-	// cancel or the limit stops the stream.
-	er, err := s.execute(ctx, &pin, query.Node{K: limit, Gamma: p.Gamma, Mode: p.Mode}, true, func(c communityJSON) bool {
-		return writeLine(cluster.StreamLine{Community: &c})
+	// cancel or the limit stops the stream. Each community line is
+	// rendered from the forest as it arrives; the renderer keeps only the
+	// member lists whose parent has not arrived yet.
+	rend := cluster.NewRenderer(pin.search.Graph())
+	defer rend.Release()
+	er, err := s.execute(ctx, &pin, query.Node{K: limit, Gamma: p.Gamma, Mode: p.Mode}, true, func(c query.Community) bool {
+		b := append((*body)[:0], `{"community":`...)
+		b = rend.AppendCommunity(b, c)
+		*body = append(b, "}\n"...)
+		return write(*body)
 	})
 	s.metrics.durationUS.Add(time.Since(start).Microseconds())
 	if err != nil {

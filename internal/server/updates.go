@@ -56,7 +56,7 @@ const maxUpdateBatch = 1 << 20
 // pinned, queries arriving after the response see the updated graph. A
 // prebuilt index on the dataset is invalidated (updates change the
 // decomposition it materialized) and the dataset's memo frees the older
-// epoch's answers at the first query on the new one.
+// epoch's answers, and the snapshots they hold, before the response.
 func (s *Server) handleApplyUpdates(w http.ResponseWriter, r *http.Request) {
 	if !s.adminAllowed(w, r) {
 		return
@@ -112,6 +112,10 @@ func (s *Server) handleApplyUpdates(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, code, map[string]string{"error": err.Error()})
 		return
 	}
+	// The memo's answers hold their snapshot's graph (and, on the index
+	// path, the index's arrays): drop them now rather than at the next
+	// query on the dataset.
+	ds.sharer.Advance(stats.Epoch)
 	resp := updatesResponse{
 		Dataset:       name,
 		Inserted:      stats.Inserted,

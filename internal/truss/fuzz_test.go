@@ -3,6 +3,7 @@ package truss
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"influcomm/internal/core"
@@ -20,7 +21,10 @@ import (
 // prebuilt index against NaiveTopK (the second runs on the recycled pooled
 // enumeration state), and for γ ≥ 2 the truss LocalSearch and Stream
 // against truss.NaiveTopK, across δ ∈ {default, 1.5, 3}. Every Stats must
-// account its final prefix.
+// account its final prefix. Every community of every leg must render, by
+// core.MemberMerger's rank-order merges, exactly the list Vertices returns:
+// in answer order, in reverse (lists built on demand), and as a stream
+// arrives.
 func FuzzSearch(f *testing.F) {
 	k5 := []byte{0, 1, 0, 2, 0, 3, 0, 4, 1, 2, 1, 3, 1, 4, 2, 3, 2, 4, 3, 4}
 	f.Add(k5, uint8(4), uint8(1), uint8(2), uint8(0))
@@ -76,6 +80,7 @@ func FuzzSearch(f *testing.F) {
 		}
 		sameKeys(t, name+" TopK vs naive", got, wantKeys)
 		accounted(t, name+" TopK", g, res.Stats)
+		mergesLikeVertices(t, name+" TopK", res.Communities)
 
 		pooled, err := core.NewPool(g).TopK(context.Background(), k, gamma, opts)
 		if err != nil {
@@ -89,10 +94,13 @@ func FuzzSearch(f *testing.F) {
 			pk[i] = fmt.Sprint(c.Keynode(), c.Vertices())
 		}
 		sameKeys(t, name+" Pool.TopK vs TopK", pk, got)
+		mergesLikeVertices(t, name+" Pool.TopK", pooled.Communities)
 
 		var streamed []string
+		var sm core.MemberMerger[*core.Community]
 		st, err := core.Stream(g, gamma, opts, func(c *core.Community) bool {
 			streamed = append(streamed, fmt.Sprint(c.Keynode(), c.Vertices()))
+			sameList(t, name+" Stream render", sm.Members(c), c.Vertices())
 			return len(streamed) < k
 		})
 		if err != nil {
@@ -106,8 +114,10 @@ func FuzzSearch(f *testing.F) {
 		// LocalSearch-P's enumeration state must carry across them.
 		fresh := newFreshSource(g)
 		var overStreamed []string
+		var osm core.MemberMerger[*core.Community]
 		ost, err := core.StreamOver(context.Background(), fresh, gamma, opts, func(c *core.Community) bool {
 			overStreamed = append(overStreamed, fmt.Sprint(c.Keynode(), c.Vertices()))
+			sameList(t, name+" StreamOver render", osm.Members(c), c.Vertices())
 			return len(overStreamed) < k
 		})
 		if err != nil {
@@ -129,6 +139,7 @@ func FuzzSearch(f *testing.F) {
 			overKeys[i] = fmt.Sprint(c.Keynode(), c.Vertices())
 		}
 		sameKeys(t, name+" TopKOver vs TopK", overKeys, got)
+		mergesLikeVertices(t, name+" TopKOver", over.Communities)
 
 		if !opts.NonContainment {
 			// The index enumerates over the whole graph (c.P = n), where
@@ -150,6 +161,7 @@ func FuzzSearch(f *testing.F) {
 					igot = append(igot, fmt.Sprint(c.Keynode(), c.Vertices()))
 				}
 				sameKeys(t, fmt.Sprintf("%s index TopK(%d) vs naive", name, qk), igot, iwant)
+				mergesLikeVertices(t, fmt.Sprintf("%s index TopK(%d)", name, qk), comms)
 			}
 		}
 
@@ -171,10 +183,13 @@ func FuzzSearch(f *testing.F) {
 		}
 		sameKeys(t, name+" truss LocalSearch vs naive", tgot, twant)
 		accounted(t, name+" truss LocalSearch", g, tr.Stats)
+		mergesLikeVertices(t, name+" truss LocalSearch", tr.Communities)
 
 		var tstreamed []string
+		var tsm core.MemberMerger[*Community]
 		p, err := Stream(ix, gamma, func(c *Community) bool {
 			tstreamed = append(tstreamed, fmt.Sprint(c.Keynode(), c.Vertices()))
+			sameList(t, name+" truss Stream render", tsm.Members(c), c.Vertices())
 			return len(tstreamed) < k
 		})
 		if err != nil {
@@ -208,6 +223,32 @@ func newFreshSource(g *graph.Graph) *freshSource {
 
 func (s *freshSource) Materialize(p int) (*graph.Graph, error) {
 	return graph.FromUpAdjacency(s.Weights()[:p], s.upDeg[:p], s.upAdj[:s.PrefixEdges(p)], &s.scratch)
+}
+
+// mergesLikeVertices renders comms through one MemberMerger in answer
+// order, where every child precedes its parent, and again in reverse
+// order, where each list is rebuilt on demand: both must give each
+// community's Vertices.
+func mergesLikeVertices[C interface {
+	core.ForestNode[C]
+	Vertices() []int32
+}](t *testing.T, what string, comms []C) {
+	t.Helper()
+	var m core.MemberMerger[C]
+	for _, c := range comms {
+		sameList(t, what+" render", m.Members(c), c.Vertices())
+	}
+	m.Reset()
+	for i := len(comms) - 1; i >= 0; i-- {
+		sameList(t, what+" reverse render", m.Members(comms[i]), comms[i].Vertices())
+	}
+}
+
+func sameList(t *testing.T, what string, got, want []int32) {
+	t.Helper()
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: merged members %v, Vertices %v", what, got, want)
+	}
 }
 
 func sameKeys(t *testing.T, what string, got, want []string) {

@@ -29,6 +29,10 @@ func (c *Community) Influence() float64 { return c.influence }
 // Size returns the total number of vertices including nested children.
 func (c *Community) Size() int { return c.size }
 
+// Group returns the vertices first claimed by this community rather than
+// by a nested child. The caller must not modify the returned slice.
+func (c *Community) Group() []int32 { return c.group }
+
 // Children returns the directly nested communities.
 func (c *Community) Children() []*Community { return c.children }
 

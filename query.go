@@ -80,11 +80,11 @@ func RunQuery(ctx context.Context, g *Graph, src string) ([]QueryStatement, erro
 		out[i].Statement = st.String()
 	}
 	pool := core.NewPool(g)
-	var trussIx *truss.Index                        // built on the batch's first truss node
-	searched := make(map[string][]ClusterCommunity) // node key -> rendered answer
-	reweighted := make(map[string]*core.Pool)       // seed-set key -> pool over the reweighted graph
+	var trussIx *truss.Index                     // built on the batch's first truss node
+	searched := make(map[string]*cluster.Answer) // node key -> unrendered answer
+	reweighted := make(map[string]*core.Pool)    // seed-set key -> pool over the reweighted graph
 	for _, n := range nodes {
-		comms, shared := searched[n.Key]
+		ans, shared := searched[n.Key]
 		if !shared {
 			t := query.Target{Search: pool}
 			switch {
@@ -104,21 +104,23 @@ func RunQuery(ctx context.Context, g *Graph, src string) ([]QueryStatement, erro
 				}
 				t.Truss = trussIx
 			}
-			rg := t.Search.Graph()
+			ans = cluster.NewAnswer(t.Search.Graph())
 			if _, _, err := query.Exec(ctx, t, n, false, func(c query.Community) bool {
-				comms = append(comms, cluster.Render(rg, c.Influence(), c.Keynode(), c.Vertices()))
+				ans.Add(c)
 				return true
 			}); err != nil {
 				return nil, err
 			}
-			searched[n.Key] = comms
+			searched[n.Key] = ans
 		}
+		// The statement's filters run before rendering: only the
+		// communities that survive them are rendered.
 		out[n.Stmt].Nodes = append(out[n.Stmt].Nodes, QueryNode{
 			K:           n.K,
 			Gamma:       int(n.Gamma),
 			Mode:        n.Mode,
 			Shared:      shared,
-			Communities: cluster.ApplyDSLFilters(q.Statements[n.Stmt].Filters, comms),
+			Communities: ans.Communities(q.Statements[n.Stmt].Filters),
 		})
 	}
 	return out, nil
