@@ -46,8 +46,10 @@ type Builder = graph.Builder
 // children.
 type Community = core.Community
 
-// TrussCommunity is an influential γ-truss community (§5.2 semantics).
-type TrussCommunity = truss.Community
+// TrussCommunity is an influential γ-truss community (§5.2 semantics). It
+// is Community: truss communities that share a vertex are nested, so they
+// form the same containment forest.
+type TrussCommunity = Community
 
 // Options tunes the LocalSearch algorithms; the zero value uses the
 // paper's recommended settings (growth ratio δ = 2, (k+γ)-heuristic start).

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"math"
 	"strconv"
 	"sync"
@@ -10,7 +9,6 @@ import (
 	"influcomm/internal/core"
 	"influcomm/internal/graph"
 	"influcomm/internal/query"
-	"influcomm/internal/truss"
 )
 
 // This file renders answers from the paper's containment forest straight
@@ -22,44 +20,29 @@ import (
 
 // Answer is one executed node's communities in decreasing influence order,
 // kept as the search returned them: nodes of the containment forest
-// (EnumIC, Algorithm 3), whose groups partition the answer's members, and
-// the graph that maps ranks to original IDs and labels (nil for backends
-// that report weight ranks). It renders only when written, so a memoized
-// answer holds the union of its members rather than their summed sizes.
-// An Answer is read-only once built: any number of goroutines may render it
-// at once.
+// (EnumIC, Algorithm 3, for every cohesiveness measure), whose groups
+// partition the answer's members, and the graph that maps ranks to
+// original IDs and labels (nil for backends that report weight ranks). It
+// renders only when written, so a memoized answer holds the union of its
+// members rather than their summed sizes. An Answer is read-only once
+// built: any number of goroutines may render it at once.
 type Answer struct {
 	g     *graph.Graph
-	core  []*core.Community
-	truss []*truss.Community
+	comms []*core.Community
 }
 
 // NewAnswer returns an empty answer whose communities render against g.
 func NewAnswer(g *graph.Graph) *Answer { return &Answer{g: g} }
 
-// Add appends c, the next community in decreasing influence order. c is a
-// *core.Community or a *truss.Community, as query.Exec yields them, and one
-// answer holds one kind.
-func (a *Answer) Add(c query.Community) {
-	switch c := c.(type) {
-	case *core.Community:
-		a.core = append(a.core, c)
-	case *truss.Community:
-		a.truss = append(a.truss, c)
-	default:
-		panic(fmt.Sprintf("cluster: cannot render a %T", c))
-	}
-}
+// Add appends c, the next community in decreasing influence order.
+func (a *Answer) Add(c *core.Community) { a.comms = append(a.comms, c) }
 
 // Groups returns the summed group sizes of the answer's communities: the
 // number of distinct members it holds, which is what the answer costs to
 // keep beside one node per community.
 func (a *Answer) Groups() int {
 	n := 0
-	for _, c := range a.core {
-		n += len(c.Group())
-	}
-	for _, c := range a.truss {
+	for _, c := range a.comms {
 		n += len(c.Group())
 	}
 	return n
@@ -71,10 +54,18 @@ func (a *Answer) Groups() int {
 func (a *Answer) AppendJSON(b []byte, fs []query.Filter) []byte {
 	r := NewRenderer(a.g)
 	defer r.Release()
-	if a.truss != nil {
-		return appendAnswer(b, r, &r.truss, a.truss, fs)
+	pos, predicated := r.selectFrom(a.comms, fs)
+	if len(a.comms) == 0 && !predicated {
+		return append(b, "null"...)
 	}
-	return appendAnswer(b, r, &r.core, a.core, fs)
+	b = append(b, '[')
+	for j, i := range pos {
+		if j > 0 {
+			b = append(b, ',')
+		}
+		b = r.AppendCommunity(b, a.comms[i])
+	}
+	return append(b, ']')
 }
 
 // Communities returns the communities that pass fs, rendered: what
@@ -82,10 +73,16 @@ func (a *Answer) AppendJSON(b []byte, fs []query.Filter) []byte {
 func (a *Answer) Communities(fs []query.Filter) []Community {
 	r := NewRenderer(a.g)
 	defer r.Release()
-	if a.truss != nil {
-		return renderAnswer(r, &r.truss, a.truss, fs)
+	pos, predicated := r.selectFrom(a.comms, fs)
+	if len(a.comms) == 0 && !predicated {
+		return nil
 	}
-	return renderAnswer(r, &r.core, a.core, fs)
+	out := make([]Community, len(pos))
+	for j, i := range pos {
+		c := a.comms[i]
+		out[j] = Render(r.g, c.Influence(), c.Keynode(), r.members.Members(c))
+	}
+	return out
 }
 
 // Renderer renders communities one at a time, in decreasing influence
@@ -94,12 +91,11 @@ func (a *Answer) Communities(fs []query.Filter) []Community {
 // with NewRenderer and Release it when done; a Renderer is not safe for
 // concurrent use.
 type Renderer struct {
-	g      *graph.Graph
-	core   core.MemberMerger[*core.Community]
-	truss  core.MemberMerger[*truss.Community]
-	pos    []int32
-	ids    []int32
-	labels []string
+	g       *graph.Graph
+	members core.MemberMerger
+	pos     []int32
+	ids     []int32
+	labels  []string
 }
 
 var renderers = sync.Pool{New: func() any { return new(Renderer) }}
@@ -114,8 +110,7 @@ func NewRenderer(g *graph.Graph) *Renderer {
 
 // Release returns r to the pool; r must not be used afterwards.
 func (r *Renderer) Release() {
-	r.core.Reset()
-	r.truss.Reset()
+	r.members.Reset()
 	r.g = nil
 	clear(r.labels[:cap(r.labels)]) // drop the references to g's labels
 	if cap(r.ids) > 1<<maxKeptScratch {
@@ -127,60 +122,9 @@ func (r *Renderer) Release() {
 // maxKeptScratch bounds the scratch a pooled Renderer keeps: 2^16 members.
 const maxKeptScratch = 16
 
-// AppendCommunity appends c's JSON encoding to b: the bytes
-// json.Marshal(Render(g, c.Influence(), c.Keynode(), c.Vertices())) writes.
-// c is a *core.Community or a *truss.Community.
-func (r *Renderer) AppendCommunity(b []byte, c query.Community) []byte {
-	switch c := c.(type) {
-	case *core.Community:
-		return appendForestCommunity(b, r, &r.core, c)
-	case *truss.Community:
-		return appendForestCommunity(b, r, &r.truss, c)
-	}
-	panic(fmt.Sprintf("cluster: cannot render a %T", c))
-}
-
-// forestCommunity is a community of either forest as the renderer reads
-// it.
-type forestCommunity[C any] interface {
-	core.ForestNode[C]
-	Influence() float64
-	Keynode() int32
-}
-
-// appendAnswer is Answer.AppendJSON over one forest.
-func appendAnswer[C forestCommunity[C]](b []byte, r *Renderer, m *core.MemberMerger[C], comms []C, fs []query.Filter) []byte {
-	pos, predicated := selectFrom(r, comms, fs)
-	if len(comms) == 0 && !predicated {
-		return append(b, "null"...)
-	}
-	b = append(b, '[')
-	for j, i := range pos {
-		if j > 0 {
-			b = append(b, ',')
-		}
-		b = appendForestCommunity(b, r, m, comms[i])
-	}
-	return append(b, ']')
-}
-
-// renderAnswer is Answer.Communities over one forest.
-func renderAnswer[C forestCommunity[C]](r *Renderer, m *core.MemberMerger[C], comms []C, fs []query.Filter) []Community {
-	pos, predicated := selectFrom(r, comms, fs)
-	if len(comms) == 0 && !predicated {
-		return nil
-	}
-	out := make([]Community, len(pos))
-	for j, i := range pos {
-		c := comms[i]
-		out[j] = Render(r.g, c.Influence(), c.Keynode(), m.Members(c))
-	}
-	return out
-}
-
 // selectFrom runs fs over comms on the renderer's position scratch. Label
 // filters walk a community's groups, so they need no rendering either.
-func selectFrom[C forestCommunity[C]](r *Renderer, comms []C, fs []query.Filter) ([]int32, bool) {
+func (r *Renderer) selectFrom(comms []*core.Community, fs []query.Filter) ([]int32, bool) {
 	g := r.g
 	labelled := g != nil && g.HasLabels()
 	pos, predicated := selectPositions(fs, len(comms), func(f query.Filter, i int) bool {
@@ -198,7 +142,7 @@ func selectFrom[C forestCommunity[C]](r *Renderer, comms []C, fs []query.Filter)
 }
 
 // anyMember reports whether match holds for some member of c.
-func anyMember[C core.ForestNode[C]](c C, match func(int32) bool) bool {
+func anyMember(c *core.Community, match func(int32) bool) bool {
 	for _, v := range c.Group() {
 		if match(v) {
 			return true
@@ -212,10 +156,12 @@ func anyMember[C core.ForestNode[C]](c C, match func(int32) bool) bool {
 	return false
 }
 
-// appendForestCommunity renders c: its members come from m in ascending
-// rank order and are translated like Render translates them.
-func appendForestCommunity[C forestCommunity[C]](b []byte, r *Renderer, m *core.MemberMerger[C], c C) []byte {
-	ranks := m.Members(c)
+// AppendCommunity appends c's JSON encoding to b: the bytes
+// json.Marshal(Render(g, c.Influence(), c.Keynode(), c.Vertices())) writes.
+// Its members come from the renderer's merger in ascending rank order and
+// are translated like Render translates them.
+func (r *Renderer) AppendCommunity(b []byte, c *core.Community) []byte {
+	ranks := r.members.Members(c)
 	wc := Community{Influence: c.Influence(), Size: len(ranks), Keynode: c.Keynode()}
 	if r.g == nil {
 		if len(ranks) > 0 {

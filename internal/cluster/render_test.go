@@ -115,7 +115,7 @@ func parseFilters(t testing.TB, pipeline string) []query.Filter {
 
 // reference renders comms the way the serving surfaces did before the
 // forest renderer: Render over Vertices, then ApplyDSLFilters.
-func reference[C query.Community](g *graph.Graph, comms []C, fs []query.Filter) []cluster.Community {
+func reference(g *graph.Graph, comms []*core.Community, fs []query.Filter) []cluster.Community {
 	var flat []cluster.Community
 	for _, c := range comms {
 		flat = append(flat, cluster.Render(g, c.Influence(), c.Keynode(), c.Vertices()))
@@ -125,7 +125,7 @@ func reference[C query.Community](g *graph.Graph, comms []C, fs []query.Filter) 
 
 // checkAnswer asserts that an Answer over comms renders, under every
 // filter pipeline, the reference's JSON bytes and Go values.
-func checkAnswer[C query.Community](t *testing.T, what string, g *graph.Graph, comms []C) {
+func checkAnswer(t *testing.T, what string, g *graph.Graph, comms []*core.Community) {
 	t.Helper()
 	a := cluster.NewAnswer(g)
 	for _, c := range comms {

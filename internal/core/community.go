@@ -7,7 +7,9 @@
 // The growth loop lives in one place, Search: Lines 1 and 4 of Algorithm 1
 // as the generalized framework of §5.2 (Algorithm 6). TopKOver, the
 // progressive Stream, the truss package and the LocalSearch-OA baseline
-// each supply only the round that runs on the grown prefix.
+// each supply only the round that runs on the grown prefix. The answer
+// lives in one place too: EnumState builds the containment forest of
+// Community nodes for both measures, and MemberMerger renders it.
 package core
 
 import (
@@ -20,7 +22,8 @@ import (
 // community containment forest: its own group gp(u) of vertices plus child
 // communities that are nested inside it (paper Lemma 3.6). This linked form
 // is what makes EnumIC run in time linear in the graph rather than in the
-// (potentially much larger) total output size.
+// (potentially much larger) total output size. The truss package's
+// communities are Community values too (see EnumState.Claim).
 type Community struct {
 	keynode   int32
 	influence float64

@@ -261,9 +261,10 @@ func (c *CVS) reset(p int) {
 }
 
 // CompactTail returns a fresh CVS holding copies of the last k groups of c
-// (all of them when k < 0). Enumeration retains group sub-slices, so a
-// pooled run — whose CVS buffers go back to the pool — hands enumeration a
-// compact copy instead; the copy is exactly the data the result keeps alive.
+// (all of them when k < 0). Enumeration retains group sub-slices, so
+// TopKOver hands it a compact copy instead of the final round's whole
+// sequence (a pooled buffer, which goes back to the pool, on a *Pool); the
+// copy is exactly the data the result keeps alive.
 func (c *CVS) CompactTail(k int) *CVS {
 	start := 0
 	if k >= 0 && len(c.Keys) > k {

@@ -6,8 +6,11 @@ import "influcomm/internal/graph"
 // EnumIC-P. It owns the v2key disjoint-set structure mapping each vertex to
 // the smallest keynode whose community contains it; for LocalSearch-P the
 // same state is shared across rounds so enumeration work is never repeated.
-// An EnumState is bound to one graph; after Recycle it serves any γ of
-// that graph (Pool relies on this). It is not safe for concurrent use.
+// The truss search (EnumICC, Algorithm 7) builds its communities on the
+// same state through Open and Claim, so both measures share one
+// containment forest. An EnumState is bound to one graph; after Recycle it
+// serves any γ of that graph (Pool relies on this). It is not safe for
+// concurrent use.
 type EnumState struct {
 	vgroup []int32      // per vertex: group index, or -1 when unassigned
 	parent []int32      // disjoint sets over group indices
@@ -40,7 +43,7 @@ func (s *EnumState) Recycle() {
 }
 
 // find returns the representative group of j with path halving. Combined
-// with the directed unions below this gives the amortized near-constant
+// with the directed unions of nest this gives the amortized near-constant
 // Find/Union of Algorithm 3 [12].
 func (s *EnumState) find(j int32) int32 {
 	for s.parent[j] != j {
@@ -48,6 +51,56 @@ func (s *EnumState) find(j int32) int32 {
 		j = s.parent[j]
 	}
 	return j
+}
+
+// open starts the community of the next keynode as a new group, the
+// representative of its own set, and returns the group's index.
+func (s *EnumState) open(com *Community) int32 {
+	gid := int32(len(s.comms))
+	s.parent = append(s.parent, gid)
+	s.comms = append(s.comms, com)
+	return gid
+}
+
+// nest links the community holding group gw under com, the community of
+// group gid, unless it is already there (Lines 10-13 of Algorithm 3). The
+// union is directed: gid stays the representative, so the set keeps
+// naming the smallest community that contains it.
+func (s *EnumState) nest(com *Community, gid, gw int32) {
+	r := s.find(gw)
+	if r == gid {
+		return
+	}
+	child := s.comms[r]
+	com.children = append(com.children, child)
+	com.size += child.size
+	s.parent[r] = gid
+}
+
+// Open starts the community of keynode u, of influence f, as the open
+// community that Claim extends. Communities must be opened in decreasing
+// influence order, like Process visits them.
+func (s *EnumState) Open(u int32, f float64) *Community {
+	com := &Community{keynode: u, influence: f}
+	s.open(com)
+	return com
+}
+
+// Claim adds vertex w to the open community: an unassigned w joins its
+// group, and an assigned w nests the community holding it inside the open
+// one. Any measure whose communities sharing a vertex are nested can build
+// its containment forest this way; the truss search claims both endpoints
+// of every edge in a keynode's group.
+func (s *EnumState) Claim(w int32) {
+	gid := int32(len(s.comms) - 1)
+	com := s.comms[gid]
+	if gw := s.vgroup[w]; gw >= 0 {
+		s.nest(com, gid, gw)
+		return
+	}
+	s.vgroup[w] = gid
+	com.group = append(com.group, w)
+	com.size++
 }
 
 // Process runs EnumIC over the keynodes of c, in decreasing weight order,
@@ -76,9 +129,13 @@ func (s *EnumState) Process(g *graph.Graph, c *CVS, k int) []*Community {
 	for j := len(c.Keys) - 1; j >= start; j-- {
 		u := c.Keys[j]
 		seg := c.Group(j)
-
-		gid := int32(len(s.comms))
-		s.parent = append(s.parent, gid)
+		com := &Community{
+			keynode:   u,
+			influence: g.Weight(u),
+			group:     seg,
+			size:      len(seg),
+		}
+		gid := s.open(com)
 
 		// Line 8: v2key(v) <- u for all v in gp(u).
 		for _, v := range seg {
@@ -87,29 +144,13 @@ func (s *EnumState) Process(g *graph.Graph, c *CVS, k int) []*Community {
 
 		// Lines 9-13: collect child communities through edges from gp(u)
 		// to already-assigned vertices, merging their sets into gid.
-		com := &Community{
-			keynode:   u,
-			influence: g.Weight(u),
-			group:     seg,
-			size:      len(seg),
-		}
 		for _, v := range seg {
 			for _, w := range g.NeighborsWithin(v, int(u)) {
-				gw := s.vgroup[w]
-				if gw < 0 {
-					continue
+				if gw := s.vgroup[w]; gw >= 0 && gw != gid {
+					s.nest(com, gid, gw)
 				}
-				r := s.find(gw)
-				if r == gid {
-					continue
-				}
-				child := s.comms[r]
-				com.children = append(com.children, child)
-				com.size += child.size
-				s.parent[r] = gid
 			}
 		}
-		s.comms = append(s.comms, com)
 		out = append(out, com)
 	}
 	return out

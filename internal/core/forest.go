@@ -5,17 +5,6 @@ import (
 	"slices"
 )
 
-// ForestNode is one community of a containment forest (Lemma 3.6) as a
-// MemberMerger reads it: its size, the vertices of its own group and the
-// communities nested directly inside it. *Community and the truss
-// package's community both satisfy it.
-type ForestNode[C any] interface {
-	comparable
-	Size() int
-	Group() []int32
-	Children() []C
-}
-
 // MemberMerger builds the member lists of a forest's communities in
 // ascending rank order, the lists Community.Vertices returns, without a
 // sort per community: a community's list is its sorted group merged with
@@ -30,11 +19,11 @@ type ForestNode[C any] interface {
 // A merger only reads the forest, so any number of mergers may render one
 // shared forest at once. A MemberMerger is not safe for concurrent use. Its
 // zero value is ready to use.
-type MemberMerger[C ForestNode[C]] struct {
-	lists map[C][]int32 // built lists whose parent has not merged them yet
-	free  [][][]int32   // released buffers by capacity class (a power of two)
-	group []int32       // the sorted group of the community being merged
-	heads [][]int32     // the unmerged tails of a k-way merge
+type MemberMerger struct {
+	lists map[*Community][]int32 // built lists whose parent has not merged them yet
+	free  [][][]int32            // released buffers by capacity class (a power of two)
+	group []int32                // the sorted group of the community being merged
+	heads [][]int32              // the unmerged tails of a k-way merge
 }
 
 // maxKeptClass bounds the buffers Reset keeps for reuse: 2^20 ranks (4 MiB).
@@ -43,34 +32,33 @@ const maxKeptClass = 20
 // Members returns the members of c in ascending rank order. The list is
 // owned by the merger: it is valid until the next call to Members or Reset
 // and must not be modified.
-func (m *MemberMerger[C]) Members(c C) []int32 {
+func (m *MemberMerger) Members(c *Community) []int32 {
 	if l, ok := m.lists[c]; ok {
 		return l
 	}
 	if m.lists == nil {
-		m.lists = make(map[C][]int32)
+		m.lists = make(map[*Community][]int32)
 	}
-	children := c.Children()
-	for _, ch := range children {
+	for _, ch := range c.children {
 		if _, ok := m.lists[ch]; !ok {
 			m.Members(ch)
 		}
 	}
-	out := m.buffer(c.Size())
-	if len(children) == 0 {
-		out = append(out, c.Group()...)
+	out := m.buffer(c.size)
+	if len(c.children) == 0 {
+		out = append(out, c.group...)
 		slices.Sort(out)
 	} else {
-		m.group = append(m.group[:0], c.Group()...)
+		m.group = append(m.group[:0], c.group...)
 		slices.Sort(m.group)
 		heads := append(m.heads[:0], m.group)
-		for _, ch := range children {
+		for _, ch := range c.children {
 			heads = append(heads, m.lists[ch])
 		}
 		out = mergeSorted(out, heads)
 		clear(heads) // drop the references to the children's buffers
 		m.heads = heads[:0]
-		for _, ch := range children {
+		for _, ch := range c.children {
 			m.release(m.lists[ch])
 			delete(m.lists, ch)
 		}
@@ -81,7 +69,7 @@ func (m *MemberMerger[C]) Members(c C) []int32 {
 
 // Reset releases every list the merger holds, keeping buffers of at most
 // 2^maxKeptClass ranks for reuse.
-func (m *MemberMerger[C]) Reset() {
+func (m *MemberMerger) Reset() {
 	for _, l := range m.lists {
 		m.release(l)
 	}
@@ -93,7 +81,7 @@ func (m *MemberMerger[C]) Reset() {
 }
 
 // buffer returns an empty buffer with room for n ranks.
-func (m *MemberMerger[C]) buffer(n int) []int32 {
+func (m *MemberMerger) buffer(n int) []int32 {
 	class := bits.Len(uint(max(n, 1) - 1))
 	if class < len(m.free) {
 		if fl := m.free[class]; len(fl) > 0 {
@@ -107,7 +95,7 @@ func (m *MemberMerger[C]) buffer(n int) []int32 {
 }
 
 // release files a buffer from buffer under its capacity class.
-func (m *MemberMerger[C]) release(b []int32) {
+func (m *MemberMerger) release(b []int32) {
 	class := bits.Len(uint(cap(b))) - 1
 	if class < 0 || cap(b) != 1<<class {
 		return

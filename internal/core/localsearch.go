@@ -238,19 +238,27 @@ func countOf(c *CVS, nonContainment bool) int {
 
 // nonContainmentCommunities extracts the top-k non-containment communities
 // (all of them when k < 0): the non-containment keynodes' groups are
-// exactly their communities (§5.1).
+// exactly their communities (§5.1). The selected groups are copied into
+// one array of their total size, so the communities do not retain c.
 func nonContainmentCommunities(g *graph.Graph, c *CVS, k int) []*Community {
-	var out []*Community
-	for j := len(c.Keys) - 1; j >= 0 && (k < 0 || len(out) < k); j-- {
-		if !c.NC[j] {
-			continue
+	var picked []int
+	total := 0
+	for j := len(c.Keys) - 1; j >= 0 && (k < 0 || len(picked) < k); j-- {
+		if c.NC[j] {
+			picked = append(picked, j)
+			total += len(c.Group(j))
 		}
-		seg := c.Group(j)
+	}
+	members := make([]int32, 0, total)
+	var out []*Community
+	for _, j := range picked {
+		start := len(members)
+		members = append(members, c.Group(j)...)
 		out = append(out, &Community{
 			keynode:   c.Keys[j],
 			influence: g.Weight(c.Keys[j]),
-			group:     seg,
-			size:      len(seg),
+			group:     members[start:],
+			size:      len(members) - start,
 		})
 	}
 	return out

@@ -7,7 +7,8 @@ import (
 )
 
 // NaiveCommunity is a fully materialized influential γ-community produced
-// by the definitional reference implementation.
+// by a definitional reference implementation: this package's, or the
+// truss package's for the truss measure.
 type NaiveCommunity struct {
 	Keynode   int32
 	Influence float64

@@ -139,25 +139,18 @@ func TopKOver(ctx context.Context, src SearchSource, k int, gamma int32, opts Op
 	}
 	st.Communities = cnt
 
-	if scratch != nil {
-		// cvs aliases the pooled buffer; enumeration retains group slices,
-		// so hand it a compact copy and let the buffer go back to the pool.
-		// Non-containment keynodes are sparse among all keynodes, so the
-		// whole tail may be needed to collect k of them.
-		if opts.NonContainment {
-			cvs = cvs.CompactTail(-1)
-		} else {
-			cvs = cvs.CompactTail(k)
-		}
-	}
+	// The communities retain their group slices, so they get copies of
+	// exactly the groups they hold: the final round's whole sequence (or
+	// the pooled buffer, which goes back to the pool) stays out of the
+	// answer, whatever the source.
 	var comms []*Community
 	switch {
 	case opts.NonContainment:
 		comms = nonContainmentCommunities(g, cvs, k)
 	case pool != nil:
-		comms = pool.EnumIC(cvs, k)
+		comms = pool.EnumIC(cvs.CompactTail(k), k)
 	default:
-		comms = EnumIC(g, cvs, k)
+		comms = EnumIC(g, cvs.CompactTail(k), k)
 	}
 	return &Result{Communities: comms, Stats: st}, nil
 }

@@ -1,6 +1,9 @@
 // Package dsu implements a disjoint-set union (union-find) structure with
 // union by rank and path halving, giving effectively constant amortized
-// Find/Union as required by the EnumIC analysis (paper §3.2.2, [12]).
+// Find/Union. Its one caller is cluster.Partition, which finds a graph's
+// connected components. EnumIC's directed union-find, which keeps the
+// smallest keynode's group as each set's representative, lives in
+// core.EnumState.
 package dsu
 
 // DSU is a forest of int32 element sets. Construct with New.
@@ -18,17 +21,6 @@ func New(n int) *DSU {
 	return d
 }
 
-// Len returns the number of elements.
-func (d *DSU) Len() int { return len(d.parent) }
-
-// Grow extends the universe to n elements, adding singletons.
-func (d *DSU) Grow(n int) {
-	for len(d.parent) < n {
-		d.parent = append(d.parent, int32(len(d.parent)))
-		d.rank = append(d.rank, 0)
-	}
-}
-
 // Find returns the representative of x's set, halving paths as it goes.
 func (d *DSU) Find(x int32) int32 {
 	for d.parent[x] != x {
@@ -38,11 +30,11 @@ func (d *DSU) Find(x int32) int32 {
 	return x
 }
 
-// Union merges the sets of a and b and returns the surviving representative.
-func (d *DSU) Union(a, b int32) int32 {
+// Union merges the sets of a and b.
+func (d *DSU) Union(a, b int32) {
 	ra, rb := d.Find(a), d.Find(b)
 	if ra == rb {
-		return ra
+		return
 	}
 	if d.rank[ra] < d.rank[rb] {
 		ra, rb = rb, ra
@@ -50,28 +42,5 @@ func (d *DSU) Union(a, b int32) int32 {
 	d.parent[rb] = ra
 	if d.rank[ra] == d.rank[rb] {
 		d.rank[ra]++
-	}
-	return ra
-}
-
-// UnionInto merges b's set into a's set keeping a's representative as the
-// root regardless of rank. EnumIC needs this directed form: the smallest
-// keynode's group must stay the representative of its community.
-func (d *DSU) UnionInto(root, b int32) {
-	rb := d.Find(b)
-	if rb == root {
-		return
-	}
-	d.parent[rb] = root
-}
-
-// Same reports whether a and b are in the same set.
-func (d *DSU) Same(a, b int32) bool { return d.Find(a) == d.Find(b) }
-
-// Reset restores all elements to singletons without reallocating.
-func (d *DSU) Reset() {
-	for i := range d.parent {
-		d.parent[i] = int32(i)
-		d.rank[i] = 0
 	}
 }

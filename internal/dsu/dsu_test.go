@@ -7,9 +7,6 @@ import (
 
 func TestBasicUnionFind(t *testing.T) {
 	d := New(6)
-	if d.Len() != 6 {
-		t.Fatalf("Len = %d", d.Len())
-	}
 	for i := int32(0); i < 6; i++ {
 		if d.Find(i) != i {
 			t.Errorf("fresh element %d not its own root", i)
@@ -17,49 +14,18 @@ func TestBasicUnionFind(t *testing.T) {
 	}
 	d.Union(0, 1)
 	d.Union(2, 3)
-	if !d.Same(0, 1) || !d.Same(2, 3) {
+	if d.Find(0) != d.Find(1) || d.Find(2) != d.Find(3) {
 		t.Error("unions not applied")
 	}
-	if d.Same(0, 2) {
+	if d.Find(0) == d.Find(2) {
 		t.Error("unrelated sets merged")
 	}
 	d.Union(1, 3)
-	if !d.Same(0, 2) {
+	if d.Find(0) != d.Find(2) {
 		t.Error("transitive union failed")
 	}
-	if d.Same(0, 5) {
+	if d.Find(0) == d.Find(5) {
 		t.Error("element 5 should be separate")
-	}
-}
-
-func TestUnionInto(t *testing.T) {
-	d := New(5)
-	d.Union(1, 2)
-	root := d.Find(3)
-	d.UnionInto(root, 1)
-	if d.Find(1) != root || d.Find(2) != root {
-		t.Error("UnionInto must keep the designated root")
-	}
-	// Idempotent when already in the set.
-	d.UnionInto(root, 2)
-	if d.Find(2) != root {
-		t.Error("repeated UnionInto broke the root")
-	}
-}
-
-func TestGrowAndReset(t *testing.T) {
-	d := New(2)
-	d.Union(0, 1)
-	d.Grow(4)
-	if d.Len() != 4 {
-		t.Fatalf("Len after Grow = %d", d.Len())
-	}
-	if d.Same(1, 3) {
-		t.Error("grown elements must be singletons")
-	}
-	d.Reset()
-	if d.Same(0, 1) {
-		t.Error("Reset must separate everything")
 	}
 }
 
@@ -92,7 +58,7 @@ func TestEquivalenceProperty(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				if d.Same(int32(i), int32(j)) != (group[i] == group[j]) {
+				if (d.Find(int32(i)) == d.Find(int32(j))) != (group[i] == group[j]) {
 					return false
 				}
 			}

@@ -25,14 +25,6 @@ const (
 	PathScatter = "scatter"
 )
 
-// Community is one answer Exec yields, whatever its semantics: the
-// accessors core.Community and truss.Community share.
-type Community interface {
-	Influence() float64
-	Keynode() int32
-	Vertices() []int32
-}
-
 // Target is one pinned snapshot of a dataset as Exec sees it.
 type Target struct {
 	// Search runs LocalSearch and LocalSearch-P over the snapshot.
@@ -44,9 +36,10 @@ type Target struct {
 	Truss *truss.Index
 }
 
-// Exec runs plan node n on t, yielding its communities in decreasing
-// influence order until yield returns false. It is the one place a node's
-// access path is decided: truss semantics run the truss search, core
+// Exec runs plan node n on t, yielding its communities, nodes of one
+// containment forest whatever the semantics, in decreasing influence order
+// until yield returns false. It is the one place a node's access path is
+// decided: truss semantics run the truss search, core
 // semantics with an index read the index, and everything else runs
 // LocalSearch over t.Search. With progressive set the online paths stream
 // (LocalSearch-P, Algorithm 4, or the truss stream) and stop as soon as
@@ -54,11 +47,11 @@ type Target struct {
 // pooled buffers and reports the prefix a k-known search needs. Exec
 // returns the path taken and the final prefix the search accessed (0 on
 // the index path).
-func Exec(ctx context.Context, t Target, n Node, progressive bool, yield func(Community) bool) (path string, accessed int, err error) {
+func Exec(ctx context.Context, t Target, n Node, progressive bool, yield func(*core.Community) bool) (path string, accessed int, err error) {
 	opts := core.Options{NonContainment: n.Mode == SemNonContainment}
 	switch {
 	case n.Mode == SemTruss && progressive:
-		accessed, err = truss.StreamCtx(ctx, t.Truss, n.Gamma, func(c *truss.Community) bool { return yield(c) })
+		accessed, err = truss.StreamCtx(ctx, t.Truss, n.Gamma, yield)
 		return PathTruss, accessed, err
 	case n.Mode == SemTruss:
 		res, err := truss.LocalSearchCtx(ctx, t.Truss, n.K, n.Gamma)
@@ -75,7 +68,7 @@ func Exec(ctx context.Context, t Target, n Node, progressive bool, yield func(Co
 		yieldAll(comms, yield)
 		return PathIndex, 0, nil
 	case progressive:
-		st, err := t.Search.Stream(ctx, n.Gamma, opts, func(c *core.Community) bool { return yield(c) })
+		st, err := t.Search.Stream(ctx, n.Gamma, opts, yield)
 		return PathLocal, st.FinalPrefix, err
 	}
 	res, err := t.Search.TopK(ctx, n.K, n.Gamma, opts)
@@ -87,7 +80,7 @@ func Exec(ctx context.Context, t Target, n Node, progressive bool, yield func(Co
 }
 
 // yieldAll yields comms in order until yield refuses one.
-func yieldAll[C Community](comms []C, yield func(Community) bool) {
+func yieldAll(comms []*core.Community, yield func(*core.Community) bool) {
 	for _, c := range comms {
 		if !yield(c) {
 			return

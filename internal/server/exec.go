@@ -80,7 +80,7 @@ func (d *dataset) pin() pinned {
 // otherwise each goes to emit, and the run stops once emit refuses one or
 // n.K were sent. Only the shard stream sets progressive. Serving-path
 // metrics are counted here.
-func (s *Server) execute(ctx context.Context, pin *pinned, n query.Node, progressive bool, emit func(query.Community) bool) (*execResult, error) {
+func (s *Server) execute(ctx context.Context, pin *pinned, n query.Node, progressive bool, emit func(*core.Community) bool) (*execResult, error) {
 	g := pin.search.Graph()
 	t := query.Target{Search: pin.search, Index: pin.ix}
 	if n.Mode == query.SemTruss {
@@ -94,7 +94,7 @@ func (s *Server) execute(ctx context.Context, pin *pinned, n query.Node, progres
 		out.Answer = cluster.NewAnswer(g)
 	}
 	limit := n.K
-	path, accessed, err := query.Exec(ctx, t, n, progressive, func(c query.Community) bool {
+	path, accessed, err := query.Exec(ctx, t, n, progressive, func(c *core.Community) bool {
 		if emit == nil {
 			out.Answer.Add(c)
 			return true

@@ -692,12 +692,17 @@ func TestCSETopKConcurrentMissesExecuteOnce(t *testing.T) {
 
 // TestCSETopKAndQueryShareOneExecution: a /v1/topk request and a /v1/query
 // node of the same shape are one computation, whichever arrives first, and
-// answer byte-identical communities.
+// answer byte-identical communities, which equal the brute-force answer.
 func TestCSETopKAndQueryShareOneExecution(t *testing.T) {
-	shapes := []struct{ topk, dsl string }{
-		{"k=3&gamma=2", "topk(k=3, gamma=2)"},
-		{"k=2&gamma=3&noncontainment=1", "topk(k=2, gamma=3, semantics=noncontainment)"},
-		{"k=3&gamma=3&mode=truss", "topk(k=3, gamma=3, semantics=truss)"},
+	shapes := []struct {
+		topk, dsl string
+		k         int
+		gamma     int32
+		mode      string
+	}{
+		{"k=3&gamma=2", "topk(k=3, gamma=2)", 3, 2, query.SemCore},
+		{"k=2&gamma=3&noncontainment=1", "topk(k=2, gamma=3, semantics=noncontainment)", 2, 3, query.SemNonContainment},
+		{"k=3&gamma=3&mode=truss", "topk(k=3, gamma=3, semantics=truss)", 3, 3, query.SemTruss},
 	}
 	for _, topkFirst := range []bool{true, false} {
 		for _, sh := range shapes {
@@ -734,6 +739,9 @@ func TestCSETopKAndQueryShareOneExecution(t *testing.T) {
 			}
 			if got := qr.Results[0].Nodes[0].Communities; string(got) != string(viaTopK) {
 				t.Errorf("%s (topk first: %v):\ndsl  %s\ntopk %s", sh.dsl, topkFirst, got, viaTopK)
+			}
+			if want := naiveJSON(t, rankGraph(t), sh.k, sh.gamma, sh.mode); !bytes.Equal(viaTopK, want) {
+				t.Errorf("%s (topk first: %v):\ntopk        %s\nbrute force %s", sh.dsl, topkFirst, viaTopK, want)
 			}
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"influcomm/internal/cluster"
+	"influcomm/internal/core"
 	"influcomm/internal/query"
 )
 
@@ -108,7 +109,7 @@ func (s *Server) handleShardStream(ctx context.Context, w http.ResponseWriter, r
 	// member lists whose parent has not arrived yet.
 	rend := cluster.NewRenderer(pin.search.Graph())
 	defer rend.Release()
-	er, err := s.execute(ctx, &pin, query.Node{K: limit, Gamma: p.Gamma, Mode: p.Mode}, true, func(c query.Community) bool {
+	er, err := s.execute(ctx, &pin, query.Node{K: limit, Gamma: p.Gamma, Mode: p.Mode}, true, func(c *core.Community) bool {
 		b := append((*body)[:0], `{"community":`...)
 		b = rend.AppendCommunity(b, c)
 		*body = append(b, "}\n"...)

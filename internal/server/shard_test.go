@@ -10,6 +10,9 @@ import (
 	"testing"
 
 	"influcomm/internal/cluster"
+	"influcomm/internal/core"
+	"influcomm/internal/graph"
+	"influcomm/internal/truss"
 )
 
 // readStream fetches a shard stream and decodes every line.
@@ -110,14 +113,16 @@ func TestShardStreamLimit(t *testing.T) {
 	}
 }
 
+// TestShardStreamModes streams the non-containment and truss answers and
+// holds their community lines to the brute-force references.
 func TestShardStreamModes(t *testing.T) {
 	ts := newTestServer(t)
 	for _, mode := range []string{cluster.ModeNonContainment, cluster.ModeTruss} {
-		gamma := "3"
+		gamma := int32(3)
 		if mode == cluster.ModeTruss {
-			gamma = "4"
+			gamma = 4
 		}
-		code, lines := readStream(t, ts.URL+cluster.StreamPath+"?gamma="+gamma+"&limit=5&mode="+mode)
+		code, lines := readStream(t, fmt.Sprintf("%s%s?gamma=%d&limit=5&mode=%s", ts.URL, cluster.StreamPath, gamma, mode))
 		if code != http.StatusOK {
 			t.Fatalf("%s: status %d", mode, code)
 		}
@@ -127,7 +132,44 @@ func TestShardStreamModes(t *testing.T) {
 		if lines[len(lines)-1].Trailer == nil {
 			t.Errorf("%s: no trailer", mode)
 		}
+		var comms []*cluster.Community
+		for _, l := range lines[1 : len(lines)-1] {
+			comms = append(comms, l.Community)
+		}
+		got, _ := json.Marshal(comms)
+		if want := naiveJSON(t, testGraph(t), 5, gamma, mode); !bytes.Equal(got, want) {
+			t.Errorf("%s: streamed %s\nbrute force %s", mode, got, want)
+		}
 	}
+}
+
+// naiveJSON is the brute-force answer to the (k, γ, mode) query on g
+// (core.NaiveTopK, core.NaiveNonContainment or truss.NaiveTopK), rendered
+// by cluster.Render and encoded as the query routes encode communities.
+// An empty reference fails the test, so no check against it is vacuous.
+func naiveJSON(t *testing.T, g *graph.Graph, k int, gamma int32, mode string) []byte {
+	t.Helper()
+	var want []core.NaiveCommunity
+	switch mode {
+	case cluster.ModeCore:
+		want = core.NaiveTopK(g, k, gamma)
+	case cluster.ModeNonContainment:
+		want = core.NaiveNonContainment(g, gamma)
+	case cluster.ModeTruss:
+		want = truss.NaiveTopK(g, k, gamma)
+	}
+	if len(want) == 0 {
+		t.Fatalf("%s k=%d γ=%d: the brute-force answer is empty", mode, k, gamma)
+	}
+	comms := make([]cluster.Community, min(k, len(want)))
+	for i := range comms {
+		comms[i] = cluster.Render(g, want[i].Influence, want[i].Keynode, want[i].Vertices)
+	}
+	b, err := json.Marshal(comms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func TestShardStreamErrors(t *testing.T) {

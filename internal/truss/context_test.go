@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"influcomm/internal/core"
 )
 
 func TestLocalSearchCtxExpiredDeadline(t *testing.T) {
@@ -63,7 +65,7 @@ func TestStreamCtxCancelMidQuery(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	yields := 0
-	_, err := StreamCtx(ctx, ix, 4, func(*Community) bool {
+	_, err := StreamCtx(ctx, ix, 4, func(*core.Community) bool {
 		yields++
 		cancel()
 		return true

@@ -97,7 +97,7 @@ func FuzzSearch(f *testing.F) {
 		mergesLikeVertices(t, name+" Pool.TopK", pooled.Communities)
 
 		var streamed []string
-		var sm core.MemberMerger[*core.Community]
+		var sm core.MemberMerger
 		st, err := core.Stream(g, gamma, opts, func(c *core.Community) bool {
 			streamed = append(streamed, fmt.Sprint(c.Keynode(), c.Vertices()))
 			sameList(t, name+" Stream render", sm.Members(c), c.Vertices())
@@ -114,7 +114,7 @@ func FuzzSearch(f *testing.F) {
 		// LocalSearch-P's enumeration state must carry across them.
 		fresh := newFreshSource(g)
 		var overStreamed []string
-		var osm core.MemberMerger[*core.Community]
+		var osm core.MemberMerger
 		ost, err := core.StreamOver(context.Background(), fresh, gamma, opts, func(c *core.Community) bool {
 			overStreamed = append(overStreamed, fmt.Sprint(c.Keynode(), c.Vertices()))
 			sameList(t, name+" StreamOver render", osm.Members(c), c.Vertices())
@@ -186,8 +186,8 @@ func FuzzSearch(f *testing.F) {
 		mergesLikeVertices(t, name+" truss LocalSearch", tr.Communities)
 
 		var tstreamed []string
-		var tsm core.MemberMerger[*Community]
-		p, err := Stream(ix, gamma, func(c *Community) bool {
+		var tsm core.MemberMerger
+		p, err := Stream(ix, gamma, func(c *core.Community) bool {
 			tstreamed = append(tstreamed, fmt.Sprint(c.Keynode(), c.Vertices()))
 			sameList(t, name+" truss Stream render", tsm.Members(c), c.Vertices())
 			return len(tstreamed) < k
@@ -229,12 +229,9 @@ func (s *freshSource) Materialize(p int) (*graph.Graph, error) {
 // order, where every child precedes its parent, and again in reverse
 // order, where each list is rebuilt on demand: both must give each
 // community's Vertices.
-func mergesLikeVertices[C interface {
-	core.ForestNode[C]
-	Vertices() []int32
-}](t *testing.T, what string, comms []C) {
+func mergesLikeVertices(t *testing.T, what string, comms []*core.Community) {
 	t.Helper()
-	var m core.MemberMerger[C]
+	var m core.MemberMerger
 	for _, c := range comms {
 		sameList(t, what+" render", m.Members(c), c.Vertices())
 	}

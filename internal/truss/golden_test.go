@@ -3,6 +3,7 @@ package truss
 import (
 	"testing"
 
+	"influcomm/internal/core"
 	"influcomm/internal/gen"
 )
 
@@ -41,7 +42,7 @@ func TestRoundAccountingGolden(t *testing.T) {
 			t.Errorf("seed %d k=%d γ=%d: LocalSearch stats %+v, want %+v", row.seed, row.k, row.gamma, res.Stats, want)
 		}
 		n := 0
-		p, err := Stream(ix, row.gamma, func(*Community) bool {
+		p, err := Stream(ix, row.gamma, func(*core.Community) bool {
 			n++
 			return n < row.k
 		})

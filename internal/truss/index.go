@@ -4,7 +4,10 @@
 // influential γ-truss communities, and the LocalSearch-Truss /
 // GlobalSearch-Truss algorithms compared in Eval-VIII (Figure 19).
 // LocalSearch and Stream are rounds of core.Search, the one growth loop,
-// with zero Options (δ = 2).
+// with zero Options (δ = 2). Only the counting round is the truss
+// measure's own: truss communities that share a vertex are nested, so
+// EnumICC builds core's containment forest on core.EnumState and the
+// answers are core.Community values, rendered like every other answer.
 //
 // A graph has cohesiveness γ under the truss measure when every edge
 // participates in at least γ−2 triangles.

@@ -4,52 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"influcomm/internal/core"
 )
-
-// Community is one influential γ-truss community, a node of the containment
-// forest exactly like core.Community (truss communities that share a vertex
-// are nested, so the same forest representation applies).
-type Community struct {
-	keynode   int32
-	influence float64
-	group     []int32 // vertices first claimed by this community
-	children  []*Community
-	size      int
-}
-
-// Keynode returns the community's minimum-weight vertex.
-func (c *Community) Keynode() int32 { return c.keynode }
-
-// Influence returns f(g), the minimum vertex weight.
-func (c *Community) Influence() float64 { return c.influence }
-
-// Size returns the total number of vertices including nested children.
-func (c *Community) Size() int { return c.size }
-
-// Group returns the vertices first claimed by this community rather than
-// by a nested child. The caller must not modify the returned slice.
-func (c *Community) Group() []int32 { return c.group }
-
-// Children returns the directly nested communities.
-func (c *Community) Children() []*Community { return c.children }
-
-// Vertices materializes the community's vertex set in ascending rank order.
-func (c *Community) Vertices() []int32 {
-	out := make([]int32, 0, c.size)
-	var walk func(x *Community)
-	walk = func(x *Community) {
-		out = append(out, x.group...)
-		for _, ch := range x.children {
-			walk(ch)
-		}
-	}
-	walk(c)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // CVS is the edge-sequence output of CountICC (Algorithm 7): keynodes in
 // increasing weight order and the removed-edge sequence partitioned into one
@@ -75,21 +32,41 @@ func CountICC(ix *Index, p int, gamma int32) *CVS {
 }
 
 // EnumICC reconstructs the top-k influential γ-truss communities (all of
-// them when k < 0) from a CountICC run, in decreasing influence order: the
-// one-round use of EnumState.
-func EnumICC(ix *Index, c *CVS, k int) []*Community {
-	return NewEnumState(ix).Process(c, k)
+// them when k < 0) from a CountICC run, in decreasing influence order, on
+// a fresh core.EnumState: the one-round use of enumerate.
+func EnumICC(ix *Index, c *CVS, k int) []*core.Community {
+	return enumerate(core.NewEnumState(ix.g.NumVertices()), ix, c, k)
+}
+
+// enumerate builds the communities of c's last k keynodes (all of them
+// when k < 0) in decreasing influence order on s, linking them to the
+// communities s holds from earlier rounds. Two truss communities sharing a
+// vertex are nested, so EnumIC's containment forest carries over: each
+// keynode's community claims both endpoints of every edge in its group.
+func enumerate(s *core.EnumState, ix *Index, c *CVS, k int) []*core.Community {
+	start := 0
+	if k >= 0 && len(c.Keys) > k {
+		start = len(c.Keys) - k
+	}
+	out := make([]*core.Community, 0, len(c.Keys)-start)
+	for j := len(c.Keys) - 1; j >= start; j-- {
+		u := c.Keys[j]
+		out = append(out, s.Open(u, ix.g.Weight(u)))
+		for _, e := range c.Group(j) {
+			s.Claim(ix.elo[e])
+			s.Claim(ix.ehi[e])
+		}
+	}
+	return out
 }
 
 // Stats is core.Stats: the truss rounds run in core.Search and are
 // accounted exactly like the min-degree ones.
 type Stats = core.Stats
 
-// Result is the output of LocalSearch and GlobalSearch.
-type Result struct {
-	Communities []*Community
-	Stats       Stats
-}
+// Result is the output of LocalSearch and GlobalSearch: core.Result, since
+// truss communities are nodes of core's containment forest.
+type Result = core.Result
 
 func validate(ix *Index, k int, gamma int32) error {
 	if ix == nil || ix.g == nil {

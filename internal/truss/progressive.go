@@ -49,100 +49,31 @@ func countICCFromCtx(ctx context.Context, ix *Index, p, stopBefore int, gamma in
 	return c, nil
 }
 
-// EnumState implements EnumICC and its progressive sibling, mirroring
-// core.EnumState: EnumICC uses a fresh state for one CVS, while Stream
-// shares one state across rounds so enumeration work is never repeated.
-type EnumState struct {
-	ix     *Index
-	vgroup []int32
-	parent []int32
-	comms  []*Community
-}
-
-// NewEnumState returns an EnumState for the indexed graph.
-func NewEnumState(ix *Index) *EnumState {
-	s := &EnumState{ix: ix, vgroup: make([]int32, ix.g.NumVertices())}
-	for i := range s.vgroup {
-		s.vgroup[i] = -1
-	}
-	return s
-}
-
-func (s *EnumState) find(j int32) int32 {
-	for s.parent[j] != j {
-		s.parent[j] = s.parent[s.parent[j]]
-		j = s.parent[j]
-	}
-	return j
-}
-
-// Process enumerates the communities of one round's CVS in decreasing
-// influence order, restricted to the last k keynodes (all of them when
-// k < 0), linking them to communities from earlier rounds. Two truss
-// communities sharing a vertex are nested, so the EnumIC disjoint-set
-// construction carries over with vertex sharing as the linking relation.
-func (s *EnumState) Process(c *CVS, k int) []*Community {
-	start := 0
-	if k >= 0 && len(c.Keys) > k {
-		start = len(c.Keys) - k
-	}
-	out := make([]*Community, 0, len(c.Keys)-start)
-	for j := len(c.Keys) - 1; j >= start; j-- {
-		u := c.Keys[j]
-		gid := int32(len(s.comms))
-		s.parent = append(s.parent, gid)
-		com := &Community{keynode: u, influence: s.ix.g.Weight(u)}
-		claim := func(w int32) {
-			if s.vgroup[w] < 0 {
-				s.vgroup[w] = gid
-				com.group = append(com.group, w)
-				com.size++
-				return
-			}
-			r := s.find(s.vgroup[w])
-			if r == gid {
-				return
-			}
-			child := s.comms[r]
-			com.children = append(com.children, child)
-			com.size += child.size
-			s.parent[r] = gid
-		}
-		for _, e := range c.Group(j) {
-			lo, hi := s.ix.Endpoints(e)
-			claim(lo)
-			claim(hi)
-		}
-		s.comms = append(s.comms, com)
-		out = append(out, com)
-	}
-	return out
-}
-
 // Stream progressively reports influential γ-truss communities in
 // decreasing influence order (the §4 progressive technique applied to the
 // §5.2 truss measure). yield returning false stops the search; the number
 // of vertices of the largest prefix processed is returned.
-func Stream(ix *Index, gamma int32, yield func(*Community) bool) (int, error) {
+func Stream(ix *Index, gamma int32, yield func(*core.Community) bool) (int, error) {
 	return StreamCtx(context.Background(), ix, gamma, yield)
 }
 
 // StreamCtx is Stream under a context: cancellation is observed at round
 // boundaries and inside CountICC, stopping the search promptly. It runs
 // the rounds of core.Search with k = 1, each enumerating only the keynodes
-// new to its prefix; on error the returned prefix is the last completed
-// round's.
-func StreamCtx(ctx context.Context, ix *Index, gamma int32, yield func(*Community) bool) (int, error) {
+// new to its prefix on one core.EnumState shared across rounds, so a new
+// community links to the earlier ones nested inside it; on error the
+// returned prefix is the last completed round's.
+func StreamCtx(ctx context.Context, ix *Index, gamma int32, yield func(*core.Community) bool) (int, error) {
 	if err := validate(ix, 1, gamma); err != nil {
 		return 0, err
 	}
-	enum := NewEnumState(ix)
+	enum := core.NewEnumState(ix.g.NumVertices())
 	st, err := core.Search(ctx, ix.g, 1, gamma, core.Options{}, func(p, prev int) (bool, error) {
 		cvs, err := countICCFromCtx(ctx, ix, p, prev, gamma)
 		if err != nil {
 			return false, err
 		}
-		for _, c := range enum.Process(cvs, -1) {
+		for _, c := range enumerate(enum, ix, cvs, -1) {
 			if !yield(c) {
 				return true, nil
 			}

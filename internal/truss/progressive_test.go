@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"influcomm/internal/core"
 	"influcomm/internal/gen"
 )
 
@@ -13,8 +14,8 @@ func TestStreamMatchesNaive(t *testing.T) {
 		ix := NewIndex(g)
 		for _, gamma := range []int32{3, 4} {
 			want := NaiveCommunities(g, gamma)
-			var got []*Community
-			if _, err := Stream(ix, gamma, func(c *Community) bool {
+			var got []*core.Community
+			if _, err := Stream(ix, gamma, func(c *core.Community) bool {
 				got = append(got, c)
 				return true
 			}); err != nil {
@@ -41,8 +42,8 @@ func TestStreamEarlyStop(t *testing.T) {
 	if len(all) < 3 {
 		t.Skip("fixture too sparse")
 	}
-	var got []*Community
-	p, err := Stream(ix, 3, func(c *Community) bool {
+	var got []*core.Community
+	p, err := Stream(ix, 3, func(c *core.Community) bool {
 		got = append(got, c)
 		return len(got) < 2
 	})
@@ -67,7 +68,7 @@ func TestStreamValidation(t *testing.T) {
 		t.Error("nil index: want error")
 	}
 	g := gen.Random(10, 2, 1)
-	if _, err := Stream(NewIndex(g), 1, func(*Community) bool { return true }); err == nil {
+	if _, err := Stream(NewIndex(g), 1, func(*core.Community) bool { return true }); err == nil {
 		t.Error("gamma=1: want error")
 	}
 }

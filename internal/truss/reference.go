@@ -4,26 +4,20 @@ import (
 	"context"
 	"sort"
 
+	"influcomm/internal/core"
 	"influcomm/internal/graph"
 )
-
-// NaiveCommunity is a materialized influential γ-truss community produced
-// by the definitional reference.
-type NaiveCommunity struct {
-	Keynode   int32
-	Influence float64
-	Vertices  []int32
-}
 
 // NaiveCommunities enumerates every influential γ-truss community of g
 // straight from Definition 5.2: vertex u is a keynode iff it retains an
 // edge in the γ-truss of the prefix [0, u], and its community is then u's
-// connected component over the truss's surviving edges. O(n · m^1.5);
-// test oracle only.
-func NaiveCommunities(g *graph.Graph, gamma int32) []NaiveCommunity {
+// connected component over the truss's surviving edges. The communities
+// are core.NaiveCommunity values, like the min-degree reference's.
+// O(n · m^1.5); test oracle only.
+func NaiveCommunities(g *graph.Graph, gamma int32) []core.NaiveCommunity {
 	ix := NewIndex(g)
 	n := g.NumVertices()
-	var out []NaiveCommunity
+	var out []core.NaiveCommunity
 	for u := int32(0); int(u) < n; u++ {
 		p := int(u) + 1
 		r := newRunner(context.Background(), ix, p, gamma)
@@ -33,7 +27,7 @@ func NaiveCommunities(g *graph.Graph, gamma int32) []NaiveCommunity {
 		}
 		comp := aliveComponent(r, u)
 		sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
-		out = append(out, NaiveCommunity{Keynode: u, Influence: g.Weight(u), Vertices: comp})
+		out = append(out, core.NaiveCommunity{Keynode: u, Influence: g.Weight(u), Vertices: comp})
 	}
 	return out
 }
@@ -61,7 +55,7 @@ func aliveComponent(r *runner, u int32) []int32 {
 
 // NaiveTopK returns the k highest-influence truss communities in decreasing
 // influence order.
-func NaiveTopK(g *graph.Graph, k int, gamma int32) []NaiveCommunity {
+func NaiveTopK(g *graph.Graph, k int, gamma int32) []core.NaiveCommunity {
 	all := NaiveCommunities(g, gamma)
 	if len(all) > k {
 		all = all[:k]

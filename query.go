@@ -105,7 +105,7 @@ func RunQuery(ctx context.Context, g *Graph, src string) ([]QueryStatement, erro
 				t.Truss = trussIx
 			}
 			ans = cluster.NewAnswer(t.Search.Graph())
-			if _, _, err := query.Exec(ctx, t, n, false, func(c query.Community) bool {
+			if _, _, err := query.Exec(ctx, t, n, false, func(c *core.Community) bool {
 				ans.Add(c)
 				return true
 			}); err != nil {
