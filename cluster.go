@@ -76,11 +76,6 @@ var WithClusterHealthProbes = cluster.WithHealthProbes
 // failures and a 5s cooldown.
 var WithClusterBreaker = cluster.WithBreaker
 
-// WithClusterHedge enables hedged stream opens: when a shard's header has
-// not arrived within delay, a second open races on the next admitted
-// replica and the first header wins. Zero (the default) disables hedging.
-var WithClusterHedge = cluster.WithHedge
-
 // WithClusterOpenRetries sets how many extra jittered-backoff passes over a
 // shard's replica list a query makes after the first, before the shard is
 // declared failed. The default is 1 extra pass.

@@ -7,7 +7,7 @@
 //	        [-maxk 10000] [-shard-timeout 10s] [-partial]
 //	        [-probe-interval 2s] [-probe-timeout 1s]
 //	        [-breaker-threshold 5] [-breaker-cooldown 5s]
-//	        [-hedge 0] [-shard-retries 1]
+//	        [-shard-retries 1]
 //	        [-read-timeout 10s] [-write-timeout 60s] [-idle-timeout 2m]
 //	        [-shutdown-timeout 15s]
 //
@@ -46,10 +46,8 @@
 // replicas over the configured order. A replica failing -breaker-threshold
 // consecutive attempts has its circuit breaker opened and is skipped until
 // -breaker-cooldown elapses (a successful probe re-admits it immediately).
-// With -hedge > 0, a shard open slower than the hedge delay races a second
-// replica and the first header wins. Per-replica state is visible on
-// /v1/cluster and /v1/stats. See the "replica is sick" runbook in
-// docs/OPERATIONS.md for tuning guidance.
+// Per-replica state is visible on /v1/cluster and /v1/stats. See the
+// "replica is sick" runbook in docs/OPERATIONS.md for tuning guidance.
 //
 // The coordinator drains in-flight requests on SIGINT/SIGTERM, waiting up
 // to -shutdown-timeout before closing remaining connections.
@@ -108,7 +106,6 @@ type config struct {
 	probeTimeout     time.Duration
 	breakerThreshold int
 	breakerCooldown  time.Duration
-	hedge            time.Duration
 	shardRetries     int
 	readTimeout      time.Duration
 	writeTimeout     time.Duration
@@ -127,7 +124,6 @@ func (cfg *config) validate() error {
 		{"-probe-interval", cfg.probeInterval},
 		{"-probe-timeout", cfg.probeTimeout},
 		{"-breaker-cooldown", cfg.breakerCooldown},
-		{"-hedge", cfg.hedge},
 	} {
 		if d.v < 0 {
 			return fmt.Errorf("%s must not be negative (got %s)", d.name, d.v)
@@ -160,7 +156,6 @@ func main() {
 	flag.DurationVar(&cfg.probeTimeout, "probe-timeout", time.Second, "health-probe deadline (0 = coordinator default, 1s)")
 	flag.IntVar(&cfg.breakerThreshold, "breaker-threshold", 5, "consecutive failures that open a replica's circuit breaker (0 = breakers off)")
 	flag.DurationVar(&cfg.breakerCooldown, "breaker-cooldown", 5*time.Second, "how long an open breaker blocks a replica before the next trial (0 = coordinator default, 5s)")
-	flag.DurationVar(&cfg.hedge, "hedge", 0, "fire a hedged shard open at a second replica after this delay (0 = no hedging)")
 	flag.IntVar(&cfg.shardRetries, "shard-retries", 1, "extra backed-off passes over a shard's replicas before it counts as failed")
 	flag.DurationVar(&cfg.readTimeout, "read-timeout", 10*time.Second, "HTTP read timeout")
 	flag.DurationVar(&cfg.writeTimeout, "write-timeout", 60*time.Second, "HTTP write timeout")
@@ -194,7 +189,6 @@ func serve(ctx context.Context, cfg config, ready chan<- string) error {
 		cluster.WithPartialResults(cfg.partial),
 		cluster.WithHealthProbes(cfg.probeInterval, cfg.probeTimeout),
 		cluster.WithBreaker(cfg.breakerThreshold, cfg.breakerCooldown),
-		cluster.WithHedge(cfg.hedge),
 		cluster.WithOpenRetries(cfg.shardRetries),
 	}
 	coord, err := cluster.NewCoordinator(cfg.shards, opts...)

@@ -134,7 +134,6 @@ func TestConfigValidate(t *testing.T) {
 		{"negative probe-interval", func(c *config) { c.probeInterval = -1 }},
 		{"negative probe-timeout", func(c *config) { c.probeTimeout = -1 }},
 		{"negative breaker-cooldown", func(c *config) { c.breakerCooldown = -1 }},
-		{"negative hedge", func(c *config) { c.hedge = -1 }},
 		{"negative breaker-threshold", func(c *config) { c.breakerThreshold = -1 }},
 		{"negative shard-retries", func(c *config) { c.shardRetries = -1 }},
 	}

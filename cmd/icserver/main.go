@@ -5,7 +5,7 @@
 //	icserver -graph g.txt [-index g.icx] [-addr :8080] [-pagerank]
 //	         [-dataset name=path[,backend=semiext][,index=p.icx]
 //	                  [,workers=N][,mutable=true]
-//	                  [,reindex=auto|off][,debounce=DUR][,repair-frac=F]]...
+//	                  [,reindex=auto|off]]...
 //	         [-cache 256] [-maxk 10000] [-query-timeout 30s]
 //	         [-max-inflight 64] [-read-timeout 10s] [-write-timeout 60s]
 //	         [-idle-timeout 2m] [-shutdown-timeout 15s] [-pprof addr]
@@ -36,16 +36,13 @@
 // file before it is visible, the log replays on restart after a crash,
 // and a clean shutdown compacts it back into the edge file. reindex=auto
 // on a mutable dataset keeps its prebuilt index current across updates:
-// small deltas are repaired synchronously before the update response,
-// larger ones trigger an epoch-tagged background rebuild (queries fall
-// back to LocalSearch until it attaches), debounce=DUR (e.g. 250ms)
-// sets how long the rebuild worker coalesces an update burst, and
-// repair-frac=F in (0, 1] overrides the synchronous-repair gate (default
-// 0.25: a delta touching at most a quarter of the weight ranking repairs
-// in place); without
+// a delta touching at most a quarter of the weight ranking is repaired
+// synchronously before the update response, a larger one triggers an
+// epoch-tagged background rebuild 100ms after the burst that caused it
+// (queries fall back to LocalSearch until it attaches); without
 // reindex=auto, the first effective update drops the index for good.
-// Datasets can also be loaded and unloaded at runtime
-// through the admin endpoints — protect those with -admin-token (or keep
+// Datasets can also be loaded and unloaded at runtime through the admin
+// endpoints — protect those with -admin-token (or keep
 // the port private): they can unload live datasets and open server-side
 // files. Identical queries on one dataset snapshot — /v1/topk requests
 // and /v1/query plan nodes alike — run once, and each dataset's memo keeps
@@ -88,24 +85,22 @@ import (
 
 // datasetSpec is one parsed -dataset flag.
 type datasetSpec struct {
-	name       string
-	path       string
-	backend    string
-	index      string
-	workers    int
-	mutable    bool
-	reindex    string
-	debounce   time.Duration
-	repairFrac float64
+	name    string
+	path    string
+	backend string
+	index   string
+	workers int
+	mutable bool
+	reindex string
 }
 
 // parseDatasetSpec parses
-// "name=path[,backend=semiext][,index=p.icx][,workers=N][,mutable=true][,reindex=auto|off][,debounce=DUR][,repair-frac=F]".
+// "name=path[,backend=semiext][,index=p.icx][,workers=N][,mutable=true][,reindex=auto|off]".
 func parseDatasetSpec(spec string) (datasetSpec, error) {
 	var d datasetSpec
 	name, rest, ok := strings.Cut(spec, "=")
 	if !ok || name == "" || rest == "" {
-		return d, fmt.Errorf("bad -dataset %q: want name=path[,backend=semiext][,index=file][,workers=N][,mutable=true][,reindex=auto|off][,debounce=DUR][,repair-frac=F]", spec)
+		return d, fmt.Errorf("bad -dataset %q: want name=path[,backend=semiext][,index=file][,workers=N][,mutable=true][,reindex=auto|off]", spec)
 	}
 	d.name = name
 	parts := strings.Split(rest, ",")
@@ -141,18 +136,6 @@ func parseDatasetSpec(spec string) (datasetSpec, error) {
 			default:
 				return d, fmt.Errorf("bad -dataset option reindex=%q in %q (want auto or off)", v, spec)
 			}
-		case "debounce":
-			dur, err := time.ParseDuration(v)
-			if err != nil || dur < 0 {
-				return d, fmt.Errorf("bad -dataset option debounce=%q in %q (want a non-negative Go duration, e.g. 250ms)", v, spec)
-			}
-			d.debounce = dur
-		case "repair-frac":
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f <= 0 || f > 1 {
-				return d, fmt.Errorf("bad -dataset option repair-frac=%q in %q (want a fraction in (0, 1], e.g. 0.25)", v, spec)
-			}
-			d.repairFrac = f
 		default:
 			return d, fmt.Errorf("unknown -dataset option %q in %q", k, spec)
 		}
@@ -195,7 +178,7 @@ func main() {
 	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	flag.StringVar(&cfg.pprofAddr, "pprof", "", "serve net/http/pprof on this separate address (empty = off; keep it private)")
 	flag.BoolVar(&cfg.usePagerank, "pagerank", false, "replace vertex weights with PageRank scores")
-	flag.Func("dataset", "additional dataset: name=path[,backend=semiext][,index=file][,workers=N][,mutable=true][,reindex=auto|off][,debounce=DUR][,repair-frac=F] (repeatable)", func(spec string) error {
+	flag.Func("dataset", "additional dataset: name=path[,backend=semiext][,index=file][,workers=N][,mutable=true][,reindex=auto|off] (repeatable)", func(spec string) error {
 		d, err := parseDatasetSpec(spec)
 		if err != nil {
 			return err
@@ -293,7 +276,7 @@ func serve(ctx context.Context, cfg config, ready chan<- string) error {
 		if err != nil {
 			return fmt.Errorf("dataset %s: %w", d.name, err)
 		}
-		cfgDS := server.DatasetConfig{Store: st, Reindex: d.reindex, ReindexDebounce: d.debounce, RepairFraction: d.repairFrac}
+		cfgDS := server.DatasetConfig{Store: st, Reindex: d.reindex}
 		if d.index != "" {
 			dg := st.Graph()
 			if dg == nil {

@@ -165,12 +165,12 @@ func TestParseDatasetSpec(t *testing.T) {
 	if d.workers != 8 {
 		t.Errorf("parsed %+v, want workers=8", d)
 	}
-	d, err = parseDatasetSpec("live=/d/g.edges,mutable=true,reindex=auto,debounce=250ms")
+	d, err = parseDatasetSpec("live=/d/g.edges,mutable=true,reindex=auto")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.reindex != "auto" || d.debounce != 250*time.Millisecond {
-		t.Errorf("parsed %+v, want reindex=auto debounce=250ms", d)
+	if d.reindex != "auto" {
+		t.Errorf("parsed %+v, want reindex=auto", d)
 	}
 	d, err = parseDatasetSpec("off=/d/g.edges,backend=mutable,reindex=off")
 	if err != nil {
@@ -179,29 +179,18 @@ func TestParseDatasetSpec(t *testing.T) {
 	if d.reindex != "off" {
 		t.Errorf("parsed %+v, want reindex=off", d)
 	}
-	d, err = parseDatasetSpec("live=/d/g.edges,mutable=true,reindex=auto,repair-frac=0.4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.repairFrac != 0.4 {
-		t.Errorf("parsed %+v, want repairFrac=0.4", d)
-	}
-	d, err = parseDatasetSpec("live=/d/g.edges,mutable=true,reindex=auto,repair-frac=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.repairFrac != 1 {
-		t.Errorf("parsed %+v, want repairFrac=1", d)
-	}
 	for _, bad := range []string{"", "noequals", "name=", "n=p,bogus", "n=p,k=v",
 		"n=p,mutable=yes", "n=p,backend=semiext,mutable=true", "n=p,workers=-2", "n=p,workers=lots",
 		"n=p,workers=2", "n=p,mutable=true,workers=2", "n=p,backend=mutable,workers=2",
-		"n=p,reindex=always", "n=p,reindex=auto", "n=p,backend=semiext,reindex=auto",
-		"n=p,mutable=true,debounce=soon", "n=p,mutable=true,debounce=-1s",
-		"n=p,mutable=true,repair-frac=0", "n=p,mutable=true,repair-frac=1.5",
-		"n=p,mutable=true,repair-frac=-0.1", "n=p,mutable=true,repair-frac=some"} {
+		"n=p,reindex=always", "n=p,reindex=auto", "n=p,backend=semiext,reindex=auto"} {
 		if _, err := parseDatasetSpec(bad); err == nil {
 			t.Errorf("%q: want parse error", bad)
+		}
+	}
+	// The rebuild debounce and the repair gate are constants, not options.
+	for _, gone := range []string{"n=p,mutable=true,debounce=1s", "n=p,mutable=true,repair-frac=0.5"} {
+		if _, err := parseDatasetSpec(gone); err == nil || !strings.Contains(err.Error(), "unknown -dataset option") {
+			t.Errorf("%q: err = %v, want an unknown-option error", gone, err)
 		}
 	}
 }

@@ -137,8 +137,8 @@ func ExampleNewMutableStore_autoReindex() {
 	if err != nil {
 		panic(err)
 	}
-	s, err := server.New(exampleGraph(), server.WithAutoReindex(),
-		server.WithDataset("social", server.DatasetConfig{Store: ms, Index: ix}))
+	s, err := server.New(exampleGraph(),
+		server.WithDataset("social", server.DatasetConfig{Store: ms, Index: ix, Reindex: "auto"}))
 	if err != nil {
 		panic(err)
 	}

@@ -112,16 +112,6 @@ func WithHealthProbes(interval, timeout time.Duration) Option {
 	}
 }
 
-// WithHedge enables hedged shard opens: when opening a shard stream takes
-// longer than delay, a second open is fired at the next admitted replica
-// and the first header wins, the loser being cancelled. Hedging happens
-// only at open time — before any result bytes are consumed — so merged
-// answers stay byte-identical. Non-positive delay disables hedging (the
-// default).
-func WithHedge(delay time.Duration) Option {
-	return func(c *Coordinator) { c.hedgeDelay = delay }
-}
-
 // WithOpenRetries sets how many extra passes over a shard's (health-
 // ranked) replica list the coordinator makes at open time, each pass
 // preceded by a jittered exponential backoff, before declaring the shard
@@ -151,24 +141,20 @@ type Coordinator struct {
 	breakerCooldown  time.Duration
 	probeInterval    time.Duration
 	probeTimeout     time.Duration
-	hedgeDelay       time.Duration
 	openRetries      int
 
 	stopProbes chan struct{}
 	probeWG    sync.WaitGroup
 	closeOnce  sync.Once
 
-	queries    atomic.Int64
-	planNodes  atomic.Int64
-	cseHits    atomic.Int64
-	errors     atomic.Int64
-	partials   atomic.Int64
-	failovers  atomic.Int64
-	probes     atomic.Int64
-	retries    atomic.Int64
-	hedges     atomic.Int64
-	hedgesWon  atomic.Int64
-	hedgesLost atomic.Int64
+	queries   atomic.Int64
+	planNodes atomic.Int64
+	cseHits   atomic.Int64
+	errors    atomic.Int64
+	partials  atomic.Int64
+	failovers atomic.Int64
+	probes    atomic.Int64
+	retries   atomic.Int64
 }
 
 // NewCoordinator validates the topology and builds a coordinator.
@@ -264,13 +250,6 @@ type Stats struct {
 	BreakerTrips int64 `json:"breaker_trips"`
 	// Retries counts backed-off open-time retry passes that ran.
 	Retries int64 `json:"retries"`
-	// Hedges counts hedged second opens fired.
-	Hedges int64 `json:"hedges"`
-	// HedgesWon counts hedged opens where the second replica's header
-	// arrived first.
-	HedgesWon int64 `json:"hedges_won"`
-	// HedgesLost counts hedged opens where the primary still won.
-	HedgesLost int64 `json:"hedges_lost"`
 	// Shards is the configured shard count.
 	Shards int `json:"shards"`
 	// ShardStatus is the per-replica resilience state (breaker, health,
@@ -297,9 +276,6 @@ func (c *Coordinator) Stats() Stats {
 		Probes:         c.probes.Load(),
 		BreakerTrips:   trips,
 		Retries:        c.retries.Load(),
-		Hedges:         c.hedges.Load(),
-		HedgesWon:      c.hedgesWon.Load(),
-		HedgesLost:     c.hedgesLost.Load(),
 		Shards:         len(c.shards),
 		ShardStatus:    status,
 	}
@@ -432,15 +408,6 @@ func send(ctx context.Context, out chan<- shardItem, it shardItem) bool {
 	}
 }
 
-// openResult is one resolved shard-open attempt: an open stream or an
-// error. pos is the plan position that actually served (a winning hedge
-// moves it forward).
-type openResult struct {
-	ss  *shardStream
-	pos int
-	err error
-}
-
 // errGatherDone cancels a gather's shard attempts once it needs them no
 // more: the merge finished, or another shard ended the query.
 var errGatherDone = errors.New("cluster: gather done")
@@ -451,15 +418,14 @@ var errGatherDone = errors.New("cluster: gather done")
 // stalls past the caller's budget has failed the query.
 func abandoned(ctx context.Context) bool { return errors.Is(context.Cause(ctx), errGatherDone) }
 
-// openAttempt opens the stream for plan[pos], feeding the replica's
-// breaker and latency score with the outcome. Neither a *RequestError
-// (the replica refused the request as malformed) nor an abandoned attempt
-// is the replica's failure. The shard timeout cancels the attempt
-// if the open, or later one Next, outlasts it. It does not run while the
+// openAttempt opens rep's stream, feeding the replica's breaker and
+// latency score with the outcome. Neither a *RequestError (the replica
+// refused the request as malformed) nor an abandoned attempt is the
+// replica's failure. The shard timeout cancels the attempt if the open,
+// or later one Next, outlasts it. It does not run while the
 // open stream waits for the merge: the merge pulls shards in turn, and a
 // healthy stream must survive the merge's wait on a slower one.
-func (c *Coordinator) openAttempt(ctx context.Context, si int, dataset string, plan []attempt, pos, limit int, gamma int32, mode string) openResult {
-	rep := c.reps[si][plan[pos].rep]
+func (c *Coordinator) openAttempt(ctx context.Context, rep *replica, dataset string, limit int, gamma int32, mode string) (*shardStream, error) {
 	sctx, cancel := context.WithCancelCause(ctx)
 	deadline := time.AfterFunc(c.shardTimeout, func() { cancel(context.DeadlineExceeded) })
 	start := time.Now()
@@ -473,86 +439,12 @@ func (c *Coordinator) openAttempt(ctx context.Context, si int, dataset string, p
 		if !isRequestError(err) && !abandoned(ctx) {
 			rep.br.failure(time.Now())
 		}
-		return openResult{pos: pos, err: err}
+		return nil, err
 	}
 	rep.br.success()
 	rep.observe(time.Since(start))
 	ss.ctx, ss.cancel, ss.deadline, ss.timeout = sctx, cancel, deadline, c.shardTimeout
-	return openResult{ss: ss, pos: pos}
-}
-
-// discardOpen drains a losing hedge attempt in the background, closing
-// its stream (which cancels the shard-side search) when it resolves.
-func discardOpen(ch <-chan openResult) {
-	go func() {
-		r := <-ch
-		if r.ss != nil {
-			r.ss.Close()
-		}
-	}()
-}
-
-// openWithHedge opens plan[pos], firing a second open at the next
-// admitted different replica if the first takes longer than the hedge
-// delay. The first successful open wins and the loser is cancelled;
-// hedging never races result consumption, only stream opening, so it
-// cannot change merged bytes.
-func (c *Coordinator) openWithHedge(ctx context.Context, si int, dataset string, plan []attempt, pos, limit int, gamma int32, mode string) openResult {
-	if c.hedgeDelay <= 0 {
-		return c.openAttempt(ctx, si, dataset, plan, pos, limit, gamma, mode)
-	}
-	hpos := -1
-	now := time.Now()
-	for p := pos + 1; p < len(plan); p++ {
-		if plan[p].rep != plan[pos].rep && c.reps[si][plan[p].rep].br.admit(now) {
-			hpos = p
-			break
-		}
-	}
-	primary := make(chan openResult, 1)
-	go func() { primary <- c.openAttempt(ctx, si, dataset, plan, pos, limit, gamma, mode) }()
-	if hpos < 0 {
-		return <-primary // nowhere to hedge to
-	}
-	timer := time.NewTimer(c.hedgeDelay)
-	defer timer.Stop()
-	select {
-	case r := <-primary:
-		return r // resolved (either way) before the hedge delay
-	case <-timer.C:
-	}
-	c.hedges.Add(1)
-	hedge := make(chan openResult, 1)
-	go func() { hedge <- c.openAttempt(ctx, si, dataset, plan, hpos, limit, gamma, mode) }()
-	var firstErr *openResult
-	pch, hch := primary, hedge
-	for pch != nil || hch != nil {
-		select {
-		case r := <-pch:
-			if r.err == nil {
-				c.hedgesLost.Add(1)
-				discardOpen(hedge)
-				return r
-			}
-			firstErr, pch = &r, nil
-		case r := <-hch:
-			if r.err == nil {
-				c.hedgesWon.Add(1)
-				discardOpen(primary)
-				return r
-			}
-			if firstErr == nil {
-				firstErr = &r
-			}
-			hch = nil
-		}
-	}
-	// Both opens failed; report the primary's error at the primary's
-	// position so the caller advances normally.
-	if firstErr.pos != pos {
-		return openResult{pos: pos, err: firstErr.err}
-	}
-	return *firstErr
+	return ss, nil
 }
 
 // readShard streams one shard into out, walking its attempt plan from
@@ -600,26 +492,24 @@ func (c *Coordinator) readShard(ctx context.Context, si int, dataset string, pla
 			}
 		}
 		attempted = true
-		r := c.openWithHedge(ctx, si, dataset, plan, pos, limit, gamma, mode)
-		if r.err != nil {
-			lastErr = r.err
-			refused[plan[pos].rep] = isRequestError(r.err)
+		ss, err := c.openAttempt(ctx, rep, dataset, limit, gamma, mode)
+		if err != nil {
+			lastErr = err
+			refused[plan[pos].rep] = isRequestError(err)
 			allRefused = allRefused && refused[plan[pos].rep]
 			continue
 		}
-		pos = r.pos // a winning hedge may have advanced the plan position
-		rep = c.reps[si][plan[pos].rep]
-		if !send(ctx, out, shardItem{header: &r.ss.header, pos: pos}) {
-			r.ss.Close()
+		if !send(ctx, out, shardItem{header: &ss.header, pos: pos}) {
+			ss.Close()
 			return
 		}
 		for {
-			comm, trailer, err := r.ss.Next()
+			comm, trailer, err := ss.Next()
 			var it shardItem
 			switch {
 			case err != nil:
-				if r.ss.ctx.Err() != nil {
-					err = fmt.Errorf("shard %q replica %s: %w", sh.Name, rep.url, context.Cause(r.ss.ctx))
+				if ss.ctx.Err() != nil {
+					err = fmt.Errorf("shard %q replica %s: %w", sh.Name, rep.url, context.Cause(ss.ctx))
 				}
 				if !abandoned(ctx) {
 					rep.br.failure(time.Now())
@@ -632,7 +522,7 @@ func (c *Coordinator) readShard(ctx context.Context, si int, dataset string, pla
 			}
 			ok := send(ctx, out, it)
 			if !ok || it.comm == nil {
-				r.ss.Close()
+				ss.Close()
 				return
 			}
 		}

@@ -168,8 +168,8 @@ func TestCoordinatorDefaults(t *testing.T) {
 	if c.openRetries != DefaultOpenRetries {
 		t.Errorf("openRetries = %d, want %d", c.openRetries, DefaultOpenRetries)
 	}
-	if c.probeInterval != 0 || c.hedgeDelay != 0 {
-		t.Errorf("probing/hedging must default off: %s/%s", c.probeInterval, c.hedgeDelay)
+	if c.probeInterval != 0 {
+		t.Errorf("probing must default off: %s", c.probeInterval)
 	}
 	// The zero-value footgun: WithShardTimeout(0) must keep the bound.
 	z := newTestCoordinator(t, 1, WithShardTimeout(0))

@@ -85,8 +85,8 @@ func median(ds []time.Duration) time.Duration {
 
 // TestCoordinatorMatchesSingleNodeWithResilienceEnabled re-runs the
 // tier's core byte-identity property with every resilience feature
-// switched on at aggressive settings: probing, breakers, hedging, and
-// retry passes change routing, never results.
+// switched on at aggressive settings: probing, breakers and retry passes
+// change routing, never results.
 func TestCoordinatorMatchesSingleNodeWithResilienceEnabled(t *testing.T) {
 	g := clusterTestGraph(t)
 	s, err := server.New(g)
@@ -99,7 +99,6 @@ func TestCoordinatorMatchesSingleNodeWithResilienceEnabled(t *testing.T) {
 	coord, err := cluster.NewCoordinator(replicatedShardServers(t, g, 3, 2),
 		cluster.WithHealthProbes(10*time.Millisecond, 200*time.Millisecond),
 		cluster.WithBreaker(3, 100*time.Millisecond),
-		cluster.WithHedge(time.Millisecond), // hedge nearly every open
 		cluster.WithOpenRetries(2),
 		cluster.WithShardTimeout(5*time.Second),
 	)
@@ -217,49 +216,6 @@ func TestBreakerShortCircuitsDeadReplica(t *testing.T) {
 	}
 }
 
-// TestHedgedOpenWinsOnSlowReplica: with hedging on, a slow primary does
-// not gate the query — the hedge fires, the fast replica's header wins,
-// and the result is still byte-identical to single-node.
-func TestHedgedOpenWinsOnSlowReplica(t *testing.T) {
-	g := clusterTestGraph(t)
-	s, err := server.New(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single := httptest.NewServer(s)
-	defer single.Close()
-
-	shards := replicatedShardServers(t, g, 1, 2)
-	tr := faultnet.NewTransport(nil)
-	tr.Set(hostOf(t, shards[0].Replicas[0]), mustScript(t, "latency=400ms", 1))
-	coord, err := cluster.NewCoordinator(shards,
-		cluster.WithHTTPClient(&http.Client{Transport: tr}),
-		cluster.WithHedge(30*time.Millisecond),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-
-	start := time.Now()
-	res, err := coord.TopK(context.Background(), "", 5, 3, cluster.ModeCore)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed >= 400*time.Millisecond {
-		t.Errorf("query took %s: the hedge did not rescue it from the slow primary", elapsed)
-	}
-	got, _ := json.Marshal(res.Communities)
-	want := singleCommunities(t, single.URL+"/v1/topk?k=5&gamma=3")
-	if string(got) != string(want) {
-		t.Errorf("hedged answer differs:\ngot  %s\nwant %s", got, want)
-	}
-	st := coord.Stats()
-	if st.Hedges == 0 || st.HedgesWon == 0 {
-		t.Errorf("hedge counters = fired %d won %d, want both > 0", st.Hedges, st.HedgesWon)
-	}
-}
-
 // TestProbesDriveBreakerAndRecovery: active probing alone — no query
 // traffic — opens the breaker of a failing replica, marks it down, and
 // re-admits it within a probe interval of recovery.
@@ -304,7 +260,7 @@ func TestProbesDriveBreakerAndRecovery(t *testing.T) {
 // TestFlappingReplicasSoak is the chaos property test: replicas flap on
 // seeded request-count schedules (5xx bursts on one shard, mid-stream
 // truncations on the other) under concurrent query traffic, with
-// probing, breakers, hedging, and retries all on. Every query must
+// probing, breakers and retries all on. Every query must
 // succeed (the second replica of each shard stays healthy) and answer
 // byte-identical to single-node; after the faults stop, breaker state
 // must converge back to closed. CHAOS_SOAK extends the soak duration
@@ -355,7 +311,6 @@ func TestFlappingReplicasSoak(t *testing.T) {
 		cluster.WithShardTimeout(2*time.Second),
 		cluster.WithHealthProbes(25*time.Millisecond, 500*time.Millisecond),
 		cluster.WithBreaker(3, 100*time.Millisecond),
-		cluster.WithHedge(50*time.Millisecond),
 		cluster.WithOpenRetries(1),
 	)
 	if err != nil {

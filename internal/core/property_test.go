@@ -297,3 +297,44 @@ func TestStatsAccounting(t *testing.T) {
 		t.Errorf("TotalWork %d exceeds geometric-sum bound %d", st.TotalWork, bound)
 	}
 }
+
+// TestTheorem33WorkBound checks Theorem 3.3's work bound on every
+// core-semantics answer that holds k communities: TotalWork ≤
+// 2δ²/(δ−1)·size(G≥τ*), G≥τ* being the prefix through the k-th
+// community's keynode r*. Every round before the last found fewer than k
+// communities, so it lies inside G≥τ*, and the rounds grew by δ, so they
+// sum to at most δ/(δ−1)·size(G≥τ*) (Lemma 3.7); the last round is below
+// 2δ·size(G≥τ*) (Lemma 3.8); and 2δ + δ/(δ−1) ≤ 2δ²/(δ−1). A last round
+// capped at the whole graph only lowers FinalSize: it is capped because δ
+// times the round before it already reached size(G).
+func TestTheorem33WorkBound(t *testing.T) {
+	checked, worst := 0, 0.0
+	for s := uint64(1); s <= 4; s++ {
+		g := gen.Random(3000, 8, s)
+		for gamma := int32(1); gamma <= 5; gamma++ {
+			for _, k := range []int{1, 2, 5, 20, 100, 500} {
+				for _, delta := range []float64{1.5, 2, 3} {
+					res, err := TopK(g, k, gamma, Options{Delta: delta})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(res.Communities) < k {
+						continue // τ* is undefined: the search may scan everything
+					}
+					checked++
+					optimal := g.PrefixSize(int(res.Communities[k-1].Keynode()) + 1)
+					bound := 2 * delta * delta / (delta - 1) * float64(optimal)
+					worst = max(worst, float64(res.Stats.TotalWork)/bound)
+					if float64(res.Stats.TotalWork) > bound {
+						t.Errorf("seed %d γ=%d k=%d δ=%v: TotalWork %d over the bound %.0f (size(G≥τ*) = %d)",
+							s, gamma, k, delta, res.Stats.TotalWork, bound, optimal)
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no answer held k communities: the bound was never checked")
+	}
+	t.Logf("%d answers checked; the largest TotalWork is %.3f of its bound", checked, worst)
+}

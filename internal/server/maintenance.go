@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,19 +50,15 @@ type attachedIndex struct {
 	epoch uint64
 }
 
-// maintainerConfig tunes one dataset's maintenance pipeline.
-type maintainerConfig struct {
-	// debounce is how long the rebuild worker waits after a kick before
-	// building, so a burst of updates costs one rebuild, not one each.
-	debounce time.Duration
-	// repairFraction overrides the synchronous-repair gate (0 keeps
-	// defaultRepairFraction); see maintainer.repairFraction.
-	repairFraction float64
-}
-
 const (
-	defaultReindexDebounce = 100 * time.Millisecond
-	defaultRepairFraction  = 0.25
+	// reindexDebounce is how long the rebuild worker waits after a kick
+	// before building, so a burst of updates costs one rebuild, not one
+	// each.
+	reindexDebounce = 100 * time.Millisecond
+	// repairFraction is the largest touched-suffix fraction (n-cut)/n the
+	// synchronous fast path accepts; larger deltas go to the background
+	// rebuild.
+	repairFraction = 0.25
 )
 
 // maintainer keeps one mutable dataset's index current. It observes every
@@ -72,9 +67,8 @@ const (
 // worker. Created by addDataset for datasets with reindex enabled;
 // stopped by RemoveDataset and Server.Close.
 type maintainer struct {
-	ds  *dataset
-	ms  store.MutableStore
-	cfg maintainerConfig
+	ds *dataset
+	ms store.MutableStore
 
 	// mu guards minCut and the per-epoch outcome, and makes the rebuild
 	// worker's stale-check-then-attach atomic against the OnApply hook.
@@ -103,27 +97,14 @@ type maintainer struct {
 	deltaRepairs atomic.Int64 // synchronous repairs attached
 	discarded    atomic.Int64 // finished builds dropped as stale
 
-	// repairFraction is the largest touched-suffix fraction (n-cut)/n the
-	// synchronous fast path accepts; larger deltas go to the background
-	// rebuild. Stored as math.Float64bits; atomic so white-box tests can
-	// steer the path choice while the pipeline runs.
-	repairFraction atomic.Uint64
-
 	// testBuildStarted, when set by white-box tests, observes every
 	// background build attempt with the epoch it builds against; atomic so
 	// tests can install it while the worker runs.
 	testBuildStarted atomic.Pointer[func(epoch uint64)]
 }
 
-func newMaintainer(ds *dataset, ms store.MutableStore, cfg maintainerConfig) *maintainer {
-	if cfg.debounce <= 0 {
-		cfg.debounce = defaultReindexDebounce
-	}
-	if cfg.repairFraction <= 0 {
-		cfg.repairFraction = defaultRepairFraction
-	}
-	m := &maintainer{ds: ds, ms: ms, cfg: cfg, kick: make(chan struct{}, 1)}
-	m.repairFraction.Store(math.Float64bits(cfg.repairFraction))
+func newMaintainer(ds *dataset, ms store.MutableStore) *maintainer {
+	m := &maintainer{ds: ds, ms: ms, kick: make(chan struct{}, 1)}
 	m.ctx, m.cancel = context.WithCancel(context.Background())
 	m.minCut = ms.NumVertices()
 	return m
@@ -173,7 +154,7 @@ func (m *maintainer) onUpdate(ev store.UpdateEvent) {
 	if at := m.ds.attached.Load(); at != nil {
 		g, epoch := m.ms.Snapshot()
 		n := g.NumVertices()
-		if repairEligible(n, m.minCut, math.Float64frombits(m.repairFraction.Load())) {
+		if repairEligible(n, m.minCut) {
 			// The attached index may be several epochs behind (a stale
 			// build can attach under its own older epoch tag); minCut
 			// accumulates across exactly those epochs, so the repair below
@@ -197,12 +178,12 @@ func (m *maintainer) onUpdate(ev store.UpdateEvent) {
 
 // repairEligible is the synchronous fast-path gate: a combined delta
 // touching only the rank suffix at or above minCut qualifies when that
-// suffix, n-minCut vertices, is at most frac of the graph. Above it a
-// repair recomputes most of every decomposition anyway, so the work moves
-// to the background rebuild and queries stay on the LocalSearch fallback
-// meanwhile.
-func repairEligible(n, minCut int, frac float64) bool {
-	return float64(n-minCut) <= frac*float64(n)
+// suffix, n-minCut vertices, is at most repairFraction of the graph. Above
+// it a repair recomputes most of every decomposition anyway, so the work
+// moves to the background rebuild and queries stay on the LocalSearch
+// fallback meanwhile.
+func repairEligible(n, minCut int) bool {
+	return float64(n-minCut) <= repairFraction*float64(n)
 }
 
 // outcomeFor reports what maintenance did about the batch that published
@@ -234,7 +215,7 @@ func (m *maintainer) run() {
 			return
 		case <-m.kick:
 		}
-		timer.Reset(m.cfg.debounce)
+		timer.Reset(reindexDebounce)
 		select {
 		case <-m.ctx.Done():
 			return

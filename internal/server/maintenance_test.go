@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -56,7 +55,7 @@ func reindexServer(t *testing.T, g *graph.Graph, withIndex bool, cfg DatasetConf
 }
 
 // maintOf returns the "dyn" dataset's maintenance pipeline for white-box
-// steering (repair fraction, build observation hooks).
+// observation (counters, build hooks).
 func maintOf(t *testing.T, s *Server) *maintainer {
 	t.Helper()
 	ds := s.registry.lookup("dyn")
@@ -147,12 +146,11 @@ func dynInfo(t *testing.T, ts *httptest.Server) DatasetInfo {
 // TestReindexDeltaRepairKeepsIndexAttached covers the synchronous fast
 // path: a small-suffix update is repaired before the update response, the
 // repaired index is byte-identical to a fresh build, and queries keep
-// being served index-first with no rebuild involved.
+// being served index-first with no rebuild involved. On rankGraph the
+// edge 8–9 cuts at rank 8, so each batch touches 2 of 10 ranks, inside
+// the repairFraction gate.
 func TestReindexDeltaRepairKeepsIndexAttached(t *testing.T) {
 	s, ts, ms := reindexServer(t, rankGraph(t), true, DatasetConfig{Reindex: "auto"})
-	m := maintOf(t, s)
-	// Accept any suffix, so every update takes the repair path.
-	m.repairFraction.Store(math.Float64bits(1))
 
 	ur := postMaintainedUpdate(t, ts, `{"updates":[{"op":"delete","u":8,"v":9}]}`)
 	if ur.Index != outcomeRepaired {
@@ -180,7 +178,7 @@ func TestReindexDeltaRepairKeepsIndexAttached(t *testing.T) {
 	}
 
 	// A second batch repairs again from the already-repaired index.
-	ur = postMaintainedUpdate(t, ts, `{"updates":[{"op":"insert","u":8,"v":9},{"op":"insert","u":4,"v":5}]}`)
+	ur = postMaintainedUpdate(t, ts, `{"updates":[{"op":"insert","u":8,"v":9}]}`)
 	if ur.Index != outcomeRepaired {
 		t.Fatalf("second batch outcome %q, want %q", ur.Index, outcomeRepaired)
 	}
@@ -192,8 +190,7 @@ func TestReindexDeltaRepairKeepsIndexAttached(t *testing.T) {
 // too large for the fast path detaches into "rebuilding" until the
 // epoch-tagged rebuild attaches a byte-identical-to-fresh index.
 func TestReindexBackgroundRebuildAttaches(t *testing.T) {
-	s, ts, ms := reindexServer(t, rankGraph(t), false,
-		DatasetConfig{Reindex: "auto", ReindexDebounce: time.Millisecond})
+	s, ts, ms := reindexServer(t, rankGraph(t), false, DatasetConfig{Reindex: "auto"})
 	m := maintOf(t, s)
 
 	// Bootstrap: auto-reindex builds the first index on its own.
@@ -203,8 +200,8 @@ func TestReindexBackgroundRebuildAttaches(t *testing.T) {
 	}
 	requireFreshBuildMatch(t, s, ms)
 
-	// Refuse every repair, so the update must go through the worker.
-	m.repairFraction.Store(math.Float64bits(0))
+	// An edge at rank 0 cuts at 0, past the repair gate, so the update
+	// must go through the worker.
 	ur := postMaintainedUpdate(t, ts, `{"updates":[{"op":"insert","u":0,"v":9}]}`)
 	if ur.Index != outcomeRebuilding {
 		t.Fatalf("index outcome %q, want %q", ur.Index, outcomeRebuilding)
@@ -237,9 +234,7 @@ func TestReindexBackgroundRebuildAttaches(t *testing.T) {
 // with index_queries advancing.
 func TestReindexMaintainedMatchesFreshBuildUnderTraffic(t *testing.T) {
 	g := gen.Random(120, 6, 7)
-	s, ts, ms := reindexServer(t, g, true,
-		DatasetConfig{Reindex: "auto", ReindexDebounce: 2 * time.Millisecond},
-		WithResultCache(0))
+	s, ts, ms := reindexServer(t, g, true, DatasetConfig{Reindex: "auto"}, WithResultCache(0))
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -342,10 +337,8 @@ func TestReindexMaintainedMatchesFreshBuildUnderTraffic(t *testing.T) {
 // it is discarded, never attached, and the worker immediately rebuilds
 // against the snapshot that superseded it.
 func TestReindexMidRebuildDiscardsStale(t *testing.T) {
-	s, ts, ms := reindexServer(t, rankGraph(t), true,
-		DatasetConfig{Reindex: "auto", ReindexDebounce: time.Millisecond})
+	s, ts, ms := reindexServer(t, rankGraph(t), true, DatasetConfig{Reindex: "auto"})
 	m := maintOf(t, s)
-	m.repairFraction.Store(math.Float64bits(0)) // force the rebuild path
 
 	started := make(chan uint64, 8)
 	release := make(chan struct{})
@@ -362,6 +355,7 @@ func TestReindexMidRebuildDiscardsStale(t *testing.T) {
 	}
 	m.testBuildStarted.Store(&hook)
 
+	// Both batches cut below rank 2, past the repair gate: rebuilds.
 	postMaintainedUpdate(t, ts, `{"updates":[{"op":"delete","u":0,"v":1}]}`)
 	e1 := <-started // the worker is now mid-build against e1, holding it open
 
@@ -390,11 +384,9 @@ func TestReindexMidRebuildDiscardsStale(t *testing.T) {
 // out without hanging, and never attaches the cancelled build.
 func TestReindexCloseDrainsInFlightRebuild(t *testing.T) {
 	g := gen.Random(800, 8, 3)
-	s, ts, _ := reindexServer(t, g, false,
-		DatasetConfig{Reindex: "auto", ReindexDebounce: time.Millisecond})
+	s, ts, _ := reindexServer(t, g, false, DatasetConfig{Reindex: "auto"})
 	m := maintOf(t, s)
 	waitFor(t, "bootstrap rebuild", func() bool { return dynInfo(t, ts).IndexState == "attached" })
-	m.repairFraction.Store(math.Float64bits(0)) // force the rebuild path
 
 	// Park the worker right at the start of its build cycle, so Close
 	// provably lands while the rebuild is in flight.
@@ -413,6 +405,7 @@ func TestReindexCloseDrainsInFlightRebuild(t *testing.T) {
 	}
 	m.testBuildStarted.Store(&hook)
 
+	// An edge between ranks 0 and 1 cuts at 0: a rebuild, not a repair.
 	op := "insert"
 	if g.HasEdge(0, 1) {
 		op = "delete"
@@ -477,7 +470,7 @@ func TestReindexWALReplayRebuildsOnce(t *testing.T) {
 		t.Fatalf("replayed epoch %d, want %d", re.SnapshotEpoch(), wantEpoch)
 	}
 	s, err := New(rankGraph(t),
-		WithDataset("dyn", DatasetConfig{Store: re, Reindex: "auto", ReindexDebounce: time.Millisecond}))
+		WithDataset("dyn", DatasetConfig{Store: re, Reindex: "auto"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,8 +480,9 @@ func TestReindexWALReplayRebuildsOnce(t *testing.T) {
 
 	m := maintOf(t, s)
 	waitFor(t, "post-replay rebuild", func() bool { return dynInfo(t, ts).IndexState == "attached" })
-	// Give a hypothetical second rebuild time to fire, then pin the count.
-	time.Sleep(20 * time.Millisecond)
+	// Give a hypothetical second rebuild time to fire (a kick waits out
+	// the debounce before building), then pin the count.
+	time.Sleep(2 * reindexDebounce)
 	if n := m.rebuilds.Load(); n != 1 {
 		t.Fatalf("rebuilds after crash-replay = %d, want exactly 1", n)
 	}
@@ -546,7 +540,7 @@ func BenchmarkIndexMaintenance(b *testing.B) {
 			b.Fatal(err)
 		}
 		s, err := New(rankGraph(b), WithResultCache(0),
-			WithDataset("dyn", DatasetConfig{Store: ms, Index: ix, Reindex: reindex, ReindexDebounce: time.Millisecond}))
+			WithDataset("dyn", DatasetConfig{Store: ms, Index: ix, Reindex: reindex}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -588,8 +582,8 @@ func BenchmarkIndexMaintenance(b *testing.B) {
 }
 
 // TestReindexConfigValidation pins the registration rules: bad values and
-// explicitly requested maintenance on ineligible backends fail loudly,
-// while the inherited server-wide default silently skips them.
+// maintenance on ineligible backends fail loudly, and an empty Reindex
+// means off.
 func TestReindexConfigValidation(t *testing.T) {
 	if _, err := New(rankGraph(t), WithDataset("x", DatasetConfig{Graph: rankGraph(t), Reindex: "always"})); err == nil {
 		t.Fatal("bad reindex value accepted")
@@ -598,22 +592,9 @@ func TestReindexConfigValidation(t *testing.T) {
 	if _, err := New(rankGraph(t), WithDataset("x", DatasetConfig{Graph: rankGraph(t), Reindex: "auto"})); err == nil {
 		t.Fatal("reindex=auto accepted on an immutable backend")
 	}
-	// Inherited default on the same dataset: silently skipped.
-	s, err := New(rankGraph(t), WithAutoReindex(), WithDataset("x", DatasetConfig{Graph: rankGraph(t)}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if ds := s.registry.lookup("x"); ds.maint != nil {
-		t.Fatal("inherited auto-reindex started a maintainer on an immutable dataset")
-	}
-
-	// The server-wide default does start maintenance on eligible datasets.
-	s2, ts, _ := reindexServer(t, rankGraph(t), true, DatasetConfig{}, WithAutoReindex())
-	maintOf(t, s2)
-	ur := postMaintainedUpdate(t, ts, `{"updates":[{"op":"delete","u":8,"v":9}]}`)
-	if ur.Index != outcomeRepaired && ur.Index != outcomeRebuilding {
-		t.Fatalf("maintained default: outcome %q", ur.Index)
+	s, _, _ := reindexServer(t, rankGraph(t), true, DatasetConfig{})
+	if ds := s.registry.lookup("dyn"); ds.maint != nil {
+		t.Fatal("an empty reindex value started a maintainer")
 	}
 }
 
@@ -623,10 +604,23 @@ func TestReindexConfigValidation(t *testing.T) {
 // dataset, and DatasetInfo mirrors it via ready=false — so a cluster
 // prober can deprioritize the replica without evicting it.
 func TestHealthzReportsWarmingDuringRebuild(t *testing.T) {
-	// A debounce far beyond the test's lifetime freezes the dataset in
-	// the "rebuilding" state: no index attached, maintainer pending.
-	_, ts, _ := reindexServer(t, rankGraph(t), false,
-		DatasetConfig{Reindex: "auto", ReindexDebounce: time.Hour})
+	// Blocking the bootstrap build freezes the dataset in the "rebuilding"
+	// state: no index attached, maintainer pending. The worker waits out
+	// reindexDebounce before it builds, so the hook is in place first.
+	s, ts, _ := reindexServer(t, rankGraph(t), false, DatasetConfig{Reindex: "auto"})
+	started := make(chan uint64, 1)
+	release := make(chan struct{})
+	hook := func(epoch uint64) {
+		started <- epoch
+		<-release
+	}
+	maintOf(t, s).testBuildStarted.Store(&hook)
+	t.Cleanup(func() { close(release) }) // runs before the server closes
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the bootstrap build never started")
+	}
 	var got struct {
 		Status  string   `json:"status"`
 		Ready   bool     `json:"ready"`

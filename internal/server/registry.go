@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"influcomm/internal/graph"
 	"influcomm/internal/index"
@@ -282,22 +281,12 @@ type DatasetConfig struct {
 	// Reindex selects index maintenance under online updates for mutable
 	// whole-graph datasets: "auto" keeps the index current across updates
 	// (synchronous delta repair for small deltas, epoch-tagged background
-	// rebuild otherwise), "off" drops the index on the first effective
-	// update (the pre-maintenance behavior), and "" inherits the server
-	// default (WithAutoReindex). "auto" on an ineligible backend is a
-	// registration error; the inherited default silently skips ineligible
-	// datasets.
+	// rebuild otherwise; queries fall back to LocalSearch while no current
+	// index is attached) and builds one in the background for a dataset
+	// loaded without an index. "off" or "" drops the index on the first
+	// effective update until an operator reloads one. "auto" on an
+	// ineligible backend is a registration error.
 	Reindex string
-	// ReindexDebounce is how long the background worker waits after an
-	// invalidating update before rebuilding, so an update burst costs one
-	// rebuild; 0 uses the 100ms default.
-	ReindexDebounce time.Duration
-	// RepairFraction is the largest touched-suffix fraction (as a share of
-	// the vertex count, in (0, 1]) an update delta may reach and still be
-	// repaired synchronously in the index-maintenance fast path; larger
-	// deltas go to the background rebuild. 0 keeps the 0.25 default;
-	// anything else outside (0, 1] is a registration error.
-	RepairFraction float64
 }
 
 // indexBackendError explains why st cannot carry a prebuilt index.
@@ -352,17 +341,10 @@ func (s *Server) addDataset(name string, cfg DatasetConfig) (*dataset, error) {
 	default:
 		return nil, fmt.Errorf("server: dataset %q: bad reindex value %q (want \"auto\" or \"off\")", name, cfg.Reindex)
 	}
-	if cfg.RepairFraction < 0 || cfg.RepairFraction > 1 {
-		return nil, fmt.Errorf("server: dataset %q: repair fraction %v out of (0, 1]", name, cfg.RepairFraction)
-	}
-	reindex := cfg.Reindex == "auto" || (cfg.Reindex == "" && s.autoReindex)
+	reindex := cfg.Reindex == "auto"
 	ms := store.AsMutable(st)
 	if reindex && (ms == nil || st.Graph() == nil) {
-		if cfg.Reindex == "auto" {
-			return nil, fmt.Errorf("server: dataset %q: reindex=auto needs a mutable whole-graph backend, not %s", name, st.Backend())
-		}
-		// The server-wide default applies only where maintenance can work.
-		reindex = false
+		return nil, fmt.Errorf("server: dataset %q: reindex=auto needs a mutable whole-graph backend, not %s", name, st.Backend())
 	}
 	s.registry.mu.Lock()
 	defer s.registry.mu.Unlock()
@@ -374,10 +356,7 @@ func (s *Server) addDataset(name string, cfg DatasetConfig) (*dataset, error) {
 		ds.attached.Store(&attachedIndex{ix: cfg.Index, epoch: ds.epoch()})
 	}
 	if reindex {
-		ds.maint = newMaintainer(ds, ms, maintainerConfig{
-			debounce:       cfg.ReindexDebounce,
-			repairFraction: cfg.RepairFraction,
-		})
+		ds.maint = newMaintainer(ds, ms)
 		ds.maint.start()
 	}
 	s.registry.datasets[name] = ds
@@ -456,6 +435,9 @@ func validDatasetName(name string) bool {
 	return true
 }
 
+// maxLoadBody bounds a POST /v1/admin/datasets body.
+const maxLoadBody = 1 << 20
+
 // loadRequest is the POST /v1/admin/datasets body.
 type loadRequest struct {
 	// Name registers the dataset for routing (?dataset=name).
@@ -476,15 +458,9 @@ type loadRequest struct {
 	// sequentially. Other backends refuse it.
 	Workers int `json:"workers,omitempty"`
 	// Reindex selects index maintenance for mutable datasets: "auto"
-	// keeps the index current across updates, "off" drops it on the first
-	// effective update; empty inherits the server default.
+	// keeps the index current across updates; "off" or empty drops it on
+	// the first effective update.
 	Reindex string `json:"reindex,omitempty"`
-	// ReindexDebounce overrides the background-rebuild debounce as a Go
-	// duration string (e.g. "250ms"); empty uses the 100ms default.
-	ReindexDebounce string `json:"reindex_debounce,omitempty"`
-	// RepairFrac overrides the synchronous delta-repair gate (see
-	// DatasetConfig.RepairFraction); 0 keeps the 0.25 default.
-	RepairFrac float64 `json:"repair_frac,omitempty"`
 }
 
 // adminAllowed enforces the optional bearer token on admin endpoints.
@@ -509,10 +485,10 @@ func (s *Server) handleLoadDataset(w http.ResponseWriter, r *http.Request) {
 	var req loadRequest
 	// Unknown fields are refused, not ignored: a misspelt option would
 	// otherwise load the dataset with defaults and still answer 201.
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxLoadBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
+		writeJSON(w, bodyStatus(err), map[string]string{"error": "bad request body: " + err.Error()})
 		return
 	}
 	if req.Name == "" || req.Path == "" {
@@ -535,20 +511,12 @@ func (s *Server) handleLoadDataset(w http.ResponseWriter, r *http.Request) {
 		}
 		opts = append(opts, store.WithWorkers(req.Workers))
 	}
-	var debounce time.Duration
-	if req.ReindexDebounce != "" {
-		var err error
-		if debounce, err = time.ParseDuration(req.ReindexDebounce); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad reindex_debounce: " + err.Error()})
-			return
-		}
-	}
 	st, err := store.Open(req.Path, backend, opts...)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
-	cfg := DatasetConfig{Store: st, Reindex: req.Reindex, ReindexDebounce: debounce, RepairFraction: req.RepairFrac}
+	cfg := DatasetConfig{Store: st, Reindex: req.Reindex}
 	if req.Index != "" {
 		g := st.Graph()
 		if g == nil {

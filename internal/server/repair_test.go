@@ -1,118 +1,45 @@
 package server
 
-import (
-	"bytes"
-	"fmt"
-	"math"
-	"net/http"
-	"net/http/httptest"
-	"path/filepath"
-	"strings"
-	"testing"
-
-	"influcomm/internal/semiext"
-)
+import "testing"
 
 // TestRepairEligibleBoundary pins the synchronous-repair gate at its
-// boundary: a delta whose touched suffix is exactly frac·n qualifies,
-// one vertex more does not.
+// boundary: a delta whose touched suffix is exactly repairFraction·n
+// qualifies, one vertex more does not.
 func TestRepairEligibleBoundary(t *testing.T) {
 	cases := []struct {
 		n, minCut int
-		frac      float64
 		want      bool
 	}{
-		{100, 75, 0.25, true},  // 25 touched = exactly a quarter
-		{100, 74, 0.25, false}, // 26 touched: one over
-		{100, 100, 0.25, true}, // nothing touched
-		{100, 0, 0.25, false},  // everything touched
-		{100, 0, 1, true},      // frac=1 accepts any delta
-		{4, 3, 0.25, true},     // 1 of 4 = exactly a quarter
-		{4, 2, 0.25, false},
-		{0, 0, 0.25, true}, // empty graph: vacuously eligible
+		{100, 75, true},  // 25 touched = exactly a quarter
+		{100, 74, false}, // 26 touched: one over
+		{100, 100, true}, // nothing touched
+		{100, 0, false},  // everything touched
+		{4, 3, true},     // 1 of 4 = exactly a quarter
+		{4, 2, false},
+		{0, 0, true}, // empty graph: vacuously eligible
 	}
 	for _, tc := range cases {
-		if got := repairEligible(tc.n, tc.minCut, tc.frac); got != tc.want {
-			t.Errorf("repairEligible(%d, %d, %v) = %v, want %v", tc.n, tc.minCut, tc.frac, got, tc.want)
+		if got := repairEligible(tc.n, tc.minCut); got != tc.want {
+			t.Errorf("repairEligible(%d, %d) = %v, want %v", tc.n, tc.minCut, got, tc.want)
 		}
 	}
 }
 
-// TestRepairFractionConfigValidation rejects fractions outside (0, 1] at
-// registration and keeps the 0.25 default when the field is zero.
-func TestRepairFractionConfigValidation(t *testing.T) {
-	g := rankGraph(t)
-	for _, bad := range []float64{-0.1, 1.5, math.Inf(1)} {
-		_, err := New(g, WithDataset("x", DatasetConfig{Graph: rankGraph(t), RepairFraction: bad}))
-		if err == nil || !strings.Contains(err.Error(), "repair fraction") {
-			t.Errorf("RepairFraction=%v: err = %v, want repair-fraction validation error", bad, err)
-		}
-	}
-
-	s, _, _ := reindexServer(t, g, true, DatasetConfig{Reindex: "auto"})
-	if got := math.Float64frombits(maintOf(t, s).repairFraction.Load()); got != defaultRepairFraction {
-		t.Errorf("default repair fraction = %v, want %v", got, defaultRepairFraction)
-	}
-	s2, _, _ := reindexServer(t, g, true, DatasetConfig{Reindex: "auto", RepairFraction: 0.5})
-	if got := math.Float64frombits(maintOf(t, s2).repairFraction.Load()); got != 0.5 {
-		t.Errorf("configured repair fraction = %v, want 0.5", got)
-	}
-}
-
-// TestRepairFractionSteersMaintenance shows the configured gate choosing
-// the path: with frac=1 every effective update repairs synchronously;
-// with a near-zero fraction the same update goes to the background
-// rebuild instead.
+// TestRepairFractionSteersMaintenance shows the constant gate choosing the
+// path by the update's delta cut. On rankGraph (10 ranks) an edge between
+// ranks 8 and 9 cuts at 8, touching 2 ranks, and repairs synchronously; an
+// edge touching rank 0 cuts at 0, touching all 10, and goes to the
+// background rebuild instead.
 func TestRepairFractionSteersMaintenance(t *testing.T) {
-	_, ts, _ := reindexServer(t, rankGraph(t), true, DatasetConfig{Reindex: "auto", RepairFraction: 1})
-	ur := postMaintainedUpdate(t, ts, `{"updates":[{"op":"insert","u":0,"v":9}]}`)
+	_, ts, _ := reindexServer(t, rankGraph(t), true, DatasetConfig{Reindex: "auto"})
+	ur := postMaintainedUpdate(t, ts, `{"updates":[{"op":"delete","u":8,"v":9}]}`)
 	if ur.Index != outcomeRepaired {
-		t.Errorf("frac=1: outcome %q, want %q", ur.Index, outcomeRepaired)
+		t.Errorf("cut at 8: outcome %q, want %q", ur.Index, outcomeRepaired)
 	}
 
-	_, ts2, _ := reindexServer(t, rankGraph(t), true, DatasetConfig{Reindex: "auto", RepairFraction: 1e-9})
+	_, ts2, _ := reindexServer(t, rankGraph(t), true, DatasetConfig{Reindex: "auto"})
 	ur = postMaintainedUpdate(t, ts2, `{"updates":[{"op":"insert","u":0,"v":9}]}`)
 	if ur.Index != outcomeRebuilding {
-		t.Errorf("frac=1e-9: outcome %q, want %q", ur.Index, outcomeRebuilding)
-	}
-}
-
-// TestRepairFractionAdminLoad plumbs repair_frac through the admin load
-// body: out-of-range values are rejected before the dataset registers,
-// in-range values reach the maintainer.
-func TestRepairFractionAdminLoad(t *testing.T) {
-	s, err := New(rankGraph(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	ts := httptest.NewServer(s)
-	t.Cleanup(ts.Close)
-
-	path := filepath.Join(t.TempDir(), "g.edges")
-	if err := semiext.WriteEdgeFile(path, rankGraph(t)); err != nil {
-		t.Fatal(err)
-	}
-	post := func(body string) (int, string) {
-		resp, err := http.Post(ts.URL+"/v1/admin/datasets", "application/json", bytes.NewBufferString(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var buf bytes.Buffer
-		buf.ReadFrom(resp.Body)
-		return resp.StatusCode, buf.String()
-	}
-
-	code, body := post(fmt.Sprintf(`{"name":"bad","path":%q,"mutable":true,"reindex":"auto","repair_frac":1.5}`, path))
-	if code != http.StatusBadRequest || !strings.Contains(body, "repair fraction") {
-		t.Errorf("repair_frac=1.5: status %d body %s", code, body)
-	}
-	code, body = post(fmt.Sprintf(`{"name":"dyn","path":%q,"mutable":true,"reindex":"auto","repair_frac":0.75}`, path))
-	if code != http.StatusCreated {
-		t.Fatalf("repair_frac=0.75: status %d body %s", code, body)
-	}
-	if got := math.Float64frombits(maintOf(t, s).repairFraction.Load()); got != 0.75 {
-		t.Errorf("loaded repair fraction = %v, want 0.75", got)
+		t.Errorf("cut at 0: outcome %q, want %q", ur.Index, outcomeRebuilding)
 	}
 }

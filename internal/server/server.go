@@ -78,10 +78,6 @@ type Server struct {
 	// bearer token; queries stay open.
 	adminToken string
 
-	// autoReindex makes index maintenance the default for every eligible
-	// (mutable, whole-graph) dataset; see WithAutoReindex.
-	autoReindex bool
-
 	// maxK bounds per-request work; requests beyond it are rejected.
 	maxK int
 	// queryTimeout is the per-request search deadline; 0 disables it.
@@ -145,21 +141,6 @@ func WithQueryTimeout(d time.Duration) Option {
 // rejects any other index.
 func WithIndex(ix *index.Index) Option {
 	return func(s *Server) { s.registry.defaultIndex = ix }
-}
-
-// WithAutoReindex keeps prebuilt indexes current under online updates for
-// every eligible dataset — mutable backends with whole-graph access —
-// registered on this server: small deltas are repaired synchronously
-// (per-γ recompute above the delta cut, splice below it), larger ones
-// trigger an epoch-tagged background rebuild that attaches only if the
-// store has not moved on, and queries fall back to LocalSearch while no
-// current index is attached. A dataset loaded without an index gets one
-// built in the background. Per-dataset DatasetConfig.Reindex ("auto" /
-// "off") overrides this default. Without this option — and without a
-// per-dataset "auto" — an effective update drops the dataset's index
-// until an operator reloads one.
-func WithAutoReindex() Option {
-	return func(s *Server) { s.autoReindex = true }
 }
 
 // WithDataset registers an additional named dataset at construction; the

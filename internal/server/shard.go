@@ -39,6 +39,9 @@ func (s *Server) handleShardStream(ctx context.Context, w http.ResponseWriter, r
 	s.metrics.shardStreams.Add(1)
 
 	q := r.URL.Query()
+	// limit alone bounds a stream, so any k is ignored: pin it to 1, which
+	// the shared parser accepts whatever -maxk is.
+	q.Set("k", "1")
 	p, err := parseQueryParams(q, s.maxK)
 	if err == nil && q.Get("limit") == "" {
 		err = &httpError{http.StatusBadRequest, "limit is required"}

@@ -190,6 +190,41 @@ func TestShardStreamErrors(t *testing.T) {
 	}
 }
 
+// TestShardStreamBoundsLimitNotK: a stream's bound is limit, in [1, maxK],
+// so a shard whose maxK is below /v1/topk's default k of 10 still streams
+// (the coordinator never sends k).
+func TestShardStreamBoundsLimitNotK(t *testing.T) {
+	s, err := New(rankGraph(t), WithMaxK(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	code, lines := readStream(t, ts.URL+cluster.StreamPath+"?gamma=2&limit=3")
+	if code != http.StatusOK {
+		t.Fatalf("limit=3 under maxk 5: status %d, want 200", code)
+	}
+	if len(lines) < 2 || lines[0].Header == nil || lines[len(lines)-1].Trailer == nil {
+		t.Fatalf("want header ... trailer, got %d lines", len(lines))
+	}
+	var comms []*cluster.Community
+	for _, l := range lines[1 : len(lines)-1] {
+		comms = append(comms, l.Community)
+	}
+	var topk topKResponse
+	if code := getJSON(t, ts.URL+"/v1/topk?k=3&gamma=2", &topk); code != http.StatusOK {
+		t.Fatalf("topk status %d", code)
+	}
+	got, _ := json.Marshal(comms)
+	want, _ := json.Marshal(topk.Communities)
+	if len(comms) == 0 || !bytes.Equal(got, want) {
+		t.Errorf("stream %s\ntopk   %s", got, want)
+	}
+	if code, _ := readStream(t, ts.URL+cluster.StreamPath+"?gamma=2&limit=6"); code != http.StatusBadRequest {
+		t.Errorf("limit=6 under maxk 5: status %d, want 400", code)
+	}
+}
+
 func TestShardStreamCountsInStats(t *testing.T) {
 	ts := newTestServer(t)
 	readStream(t, ts.URL+cluster.StreamPath+"?gamma=3&limit=2")

@@ -50,6 +50,21 @@ type updatesResponse struct {
 // admin call from staging unbounded work.
 const maxUpdateBatch = 1 << 20
 
+// maxUpdatesBody bounds an updates request body: 64 bytes per admitted op
+// fits every batch maxUpdateBatch admits, the widest compact op
+// ({"op":"delete","u":-2147483648,"v":-2147483648},) being 48 bytes.
+const maxUpdatesBody = 64 * maxUpdateBatch
+
+// bodyStatus is the status for a request body that failed to decode: 413
+// once it passed its byte limit, 400 otherwise.
+func bodyStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 // handleApplyUpdates serves POST /v1/admin/datasets/{name}/updates: apply
 // one batch of edge insertions/deletions to a mutable dataset. The dataset
 // keeps serving throughout — in-flight queries finish on the snapshot they
@@ -63,8 +78,8 @@ func (s *Server) handleApplyUpdates(w http.ResponseWriter, r *http.Request) {
 	}
 	name := r.PathValue("name")
 	var req updatesRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUpdatesBody)).Decode(&req); err != nil {
+		writeJSON(w, bodyStatus(err), map[string]string{"error": "bad request body: " + err.Error()})
 		return
 	}
 	if len(req.Updates) == 0 {

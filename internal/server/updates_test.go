@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -347,5 +348,52 @@ func TestMutableDurabilityThroughServer(t *testing.T) {
 	r2.Body.Close()
 	if normalizeBody(t, b1) != normalizeBody(t, b2) {
 		t.Fatalf("replayed dataset diverges:\n%s\n%s", b1, b2)
+	}
+}
+
+// spaces is an endless stream of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestAdminBodiesBounded: an admin request body one byte past its bound
+// answers 413 instead of being decoded in full, and a load body exactly
+// at its bound still loads. The padding sits inside the JSON value, so a
+// decoder has to read all of it.
+func TestAdminBodiesBounded(t *testing.T) {
+	widest := `{"op":"delete","u":-2147483648,"v":-2147483648},`
+	if n := len(`{"updates":[]}`) + maxUpdateBatch*len(widest); n > maxUpdatesBody {
+		t.Fatalf("a full batch of the widest ops takes %d bytes, over the %d-byte bound", n, maxUpdatesBody)
+	}
+	ts, _, _ := mutableServer(t)
+	path := filepath.Join(t.TempDir(), "more.edges")
+	if err := semiext.WriteEdgeFile(path, rankGraph(t)); err != nil {
+		t.Fatal(err)
+	}
+	post := func(url, head, tail string, size int64) *httptest.ResponseRecorder {
+		pad := io.LimitReader(spaces{}, size-int64(len(head)+len(tail)))
+		req := httptest.NewRequest("POST", url, io.MultiReader(strings.NewReader(head), pad, strings.NewReader(tail)))
+		w := httptest.NewRecorder()
+		ts.Config.Handler.ServeHTTP(w, req)
+		return w
+	}
+	load := fmt.Sprintf(`"path":%q,"backend":"semiext"}`, path)
+	for _, tc := range []struct {
+		url, head, tail string
+		size            int64
+		want            int
+	}{
+		{"/v1/admin/datasets/dyn/updates", `{"updates":[`, `{"u":8,"v":9}]}`, maxUpdatesBody + 1, http.StatusRequestEntityTooLarge},
+		{"/v1/admin/datasets", `{"name":"big",`, load, maxLoadBody + 1, http.StatusRequestEntityTooLarge},
+		{"/v1/admin/datasets", `{"name":"fits",`, load, maxLoadBody, http.StatusCreated},
+	} {
+		if w := post(tc.url, tc.head, tc.tail, tc.size); w.Code != tc.want {
+			t.Errorf("%s with a %d-byte body: status %d %s, want %d", tc.url, tc.size, w.Code, w.Body, tc.want)
+		}
 	}
 }

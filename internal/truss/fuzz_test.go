@@ -21,10 +21,11 @@ import (
 // prebuilt index against NaiveTopK (the second runs on the recycled pooled
 // enumeration state), and for γ ≥ 2 the truss LocalSearch and Stream
 // against truss.NaiveTopK, across δ ∈ {default, 1.5, 3}. Every Stats must
-// account its final prefix. Every community of every leg must render, by
-// core.MemberMerger's rank-order merges, exactly the list Vertices returns:
-// in answer order, in reverse (lists built on demand), and as a stream
-// arrives.
+// account its final prefix, and a core answer holding k communities must
+// keep TotalWork within Theorem 3.3's bound. Every community of every leg
+// must render, by core.MemberMerger's rank-order merges, exactly the list
+// Vertices returns: in answer order, in reverse (lists built on demand),
+// and as a stream arrives.
 func FuzzSearch(f *testing.F) {
 	k5 := []byte{0, 1, 0, 2, 0, 3, 0, 4, 1, 2, 1, 3, 1, 4, 2, 3, 2, 4, 3, 4}
 	f.Add(k5, uint8(4), uint8(1), uint8(2), uint8(0))
@@ -33,6 +34,9 @@ func FuzzSearch(f *testing.F) {
 	f.Add([]byte{}, uint8(0), uint8(0), uint8(0), uint8(0))
 	f.Add([]byte("sphinx of black quartz, judge my vow! how vexingly quick daft zebras jump; waltz, bad nymph, for quick jigs vex"), uint8(23), uint8(11), uint8(3), uint8(5))
 	f.Add([]byte{1, 2, 2, 3, 3, 1, 3, 4, 4, 5, 5, 3, 5, 6, 6, 7, 7, 5, 1, 7}, uint8(7), uint8(2), uint8(1), uint8(2))
+	// Growth by one vertex a round breaks Theorem 3.3's work bound on
+	// this k = 7, γ = 1 query.
+	f.Add([]byte("120a27090A10B0"), uint8('Z'), uint8(6), uint8(30), uint8(0))
 	f.Fuzz(func(t *testing.T, raw []byte, nRaw, kRaw, gammaRaw, knobs uint8) {
 		n := int32(nRaw%24) + 1
 		var b graph.Builder
@@ -80,6 +84,9 @@ func FuzzSearch(f *testing.F) {
 		}
 		sameKeys(t, name+" TopK vs naive", got, wantKeys)
 		accounted(t, name+" TopK", g, res.Stats)
+		if !opts.NonContainment && len(res.Communities) == k {
+			withinWorkBound(t, name+" TopK", g, res, opts.Delta)
+		}
 		mergesLikeVertices(t, name+" TopK", res.Communities)
 
 		pooled, err := core.NewPool(g).TopK(context.Background(), k, gamma, opts)
@@ -257,6 +264,27 @@ func sameKeys(t *testing.T, what string, got, want []string) {
 		if got[i] != want[i] {
 			t.Fatalf("%s: community %d is %s, want %s", what, i, got[i], want[i])
 		}
+	}
+}
+
+// withinWorkBound checks Theorem 3.3's work bound on a core answer holding
+// k communities: TotalWork ≤ 2δ²/(δ−1)·size(G≥τ*), G≥τ* being the prefix
+// through the k-th community's keynode r*. Every round before the last
+// found fewer than k communities, so it lies inside G≥τ*, and the rounds
+// grew by δ, so they sum to at most δ/(δ−1)·size(G≥τ*) (Lemma 3.7); the
+// last round is below 2δ·size(G≥τ*) (Lemma 3.8); and 2δ + δ/(δ−1) ≤
+// 2δ²/(δ−1). A last round capped at the whole graph only lowers
+// FinalSize: it is capped because δ times the round before it already
+// reached size(G).
+func withinWorkBound(t *testing.T, what string, g *graph.Graph, res *core.Result, delta float64) {
+	t.Helper()
+	if delta == 0 {
+		delta = core.DefaultDelta
+	}
+	optimal := g.PrefixSize(int(res.Communities[len(res.Communities)-1].Keynode()) + 1)
+	if bound := 2 * delta * delta / (delta - 1) * float64(optimal); float64(res.Stats.TotalWork) > bound {
+		t.Fatalf("%s: TotalWork %d over Theorem 3.3's bound %.1f (size(G≥τ*) = %d, δ = %v)",
+			what, res.Stats.TotalWork, bound, optimal, delta)
 	}
 }
 
