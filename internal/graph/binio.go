@@ -53,8 +53,11 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadBinary parses the format produced by WriteBinary and reconstructs the
-// full CSR (both adjacency directions) from the stored up-edges.
+// ReadBinary parses the format produced by WriteBinary: the v1 edge file's
+// sections plus the original-ID vector. It assembles the graph through
+// FromUpAdjacency, so a .bin file passes the same validation as an edge
+// file (finite, non-increasing weights; up-lists strictly ascending below
+// their owner; degrees summing to m), and then attaches the IDs.
 func ReadBinary(r io.Reader) (*Graph, error) {
 	br := bufio.NewReader(r)
 	le := binary.LittleEndian
@@ -65,121 +68,53 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if le.Uint32(hdr[0:]) != binMagic {
 		return nil, fmt.Errorf("graph: bad magic %#x in binary graph", le.Uint32(hdr[0:]))
 	}
-	n := int(le.Uint64(hdr[4:]))
+	n := int64(le.Uint64(hdr[4:]))
 	m := int64(le.Uint64(hdr[12:]))
-	if n < 0 || m < 0 || int64(n) > math.MaxInt32 {
+	if n < 0 || m < 0 || n > math.MaxInt32 {
 		return nil, fmt.Errorf("graph: implausible binary header n=%d m=%d", n, m)
 	}
-	// Arrays grow by append while reading, so a corrupt header claiming
-	// billions of vertices fails at EOF instead of attempting a
-	// multi-gigabyte allocation up front.
-	g := &Graph{n: n, m: m}
-	var buf [8]byte
-	for u := 0; u < n; u++ {
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return nil, fmt.Errorf("graph: reading weights: %w", err)
-		}
-		g.weights = append(g.weights, math.Float64frombits(le.Uint64(buf[:])))
-	}
-	for u := 0; u < n; u++ {
-		if _, err := io.ReadFull(br, buf[:4]); err != nil {
-			return nil, fmt.Errorf("graph: reading original IDs: %w", err)
-		}
-		g.origID = append(g.origID, int32(le.Uint32(buf[:4])))
-	}
-	g.upPrefix = append(g.upPrefix, 0)
-	for u := 0; u < n; u++ {
-		if _, err := io.ReadFull(br, buf[:4]); err != nil {
-			return nil, fmt.Errorf("graph: reading up-degrees: %w", err)
-		}
-		d := int32(le.Uint32(buf[:4]))
-		if d < 0 || int64(d) > m {
-			return nil, fmt.Errorf("graph: implausible up-degree %d of vertex %d", d, u)
-		}
-		g.upDeg = append(g.upDeg, d)
-		g.upPrefix = append(g.upPrefix, g.upPrefix[u]+int64(d))
-	}
-	if g.upPrefix[n] != m {
-		return nil, fmt.Errorf("graph: up-degrees sum to %d edges, header says %d", g.upPrefix[n], m)
-	}
-
-	// Read up-edges, then mirror them to obtain full adjacency. The
-	// capacity hint is bounded so a lying header cannot force a huge
-	// allocation before the stream runs dry.
-	type edge struct{ lo, hi int32 }
-	es := make([]edge, 0, minI64(m, 1<<20))
-	for u := int32(0); int(u) < n; u++ {
-		for i := int32(0); i < g.upDeg[u]; i++ {
-			if _, err := io.ReadFull(br, buf[:4]); err != nil {
-				return nil, fmt.Errorf("graph: reading adjacency: %w", err)
-			}
-			v := int32(le.Uint32(buf[:4]))
-			if v < 0 || v >= u {
-				return nil, fmt.Errorf("graph: up-neighbor %d of vertex %d is not an up-edge", v, u)
-			}
-			es = append(es, edge{v, u})
-		}
-	}
-	deg := make([]int64, n)
-	for _, e := range es {
-		deg[e.lo]++
-		deg[e.hi]++
-	}
-	g.off = make([]int64, n+1)
-	for u := 0; u < n; u++ {
-		g.off[u+1] = g.off[u] + deg[u]
-	}
-	g.adj = make([]int32, 2*m)
-	fill := make([]int64, n)
-	copy(fill, g.off[:n])
-	// Up-edges are stored grouped by the higher-rank endpoint in ascending
-	// order, so a two-pass fill keeps every row sorted: first the lo->hi
-	// direction (hi ascending per lo), then hi->lo. To keep rows strictly
-	// ascending we instead insert in rank order of the stored neighbor.
-	for _, e := range es {
-		g.adj[fill[e.hi]] = e.lo // up-neighbors of hi, ascending since file order is
-		fill[e.hi]++
-	}
-	for _, e := range es {
-		g.adj[fill[e.lo]] = e.hi
-		fill[e.lo]++
-	}
-	// Rows are now up-neighbors (sorted, if file order was sorted) followed
-	// by down-neighbors (sorted by construction order of es, which ascends
-	// in hi). Validate sortedness cheaply and fix if the file interleaved.
-	if err := g.sortRows(); err != nil {
+	weights, err := readSection(br, n, 8, "weights", func(b []byte) float64 { return math.Float64frombits(le.Uint64(b)) })
+	if err != nil {
 		return nil, err
 	}
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("graph: binary file inconsistent: %w", err)
+	int32At := func(b []byte) int32 { return int32(le.Uint32(b)) }
+	origID, err := readSection(br, n, 4, "original IDs", int32At)
+	if err != nil {
+		return nil, err
 	}
+	upDeg, err := readSection(br, n, 4, "up-degrees", int32At)
+	if err != nil {
+		return nil, err
+	}
+	upAdj, err := readSection(br, m, 4, "adjacency", int32At)
+	if err != nil {
+		return nil, err
+	}
+	g, err := FromUpAdjacency(weights, upDeg, upAdj, nil)
+	if err != nil {
+		return nil, err
+	}
+	g.origID = origID
 	return g, nil
 }
 
-func (g *Graph) sortRows() error {
-	for u := 0; u < g.n; u++ {
-		row := g.adj[g.off[u]:g.off[u+1]]
-		for i := 1; i < len(row); i++ {
-			if row[i-1] >= row[i] {
-				insertionSortInt32(row)
-				break
-			}
+// readSection decodes count fixed-width values of size bytes each. It
+// reads and grows the result in bounded chunks, so a corrupt header
+// claiming billions of entries fails at EOF instead of attempting a
+// multi-gigabyte allocation up front.
+func readSection[T any](r io.Reader, count int64, size int, what string, decode func([]byte) T) ([]T, error) {
+	chunk := min(count, 1<<16)
+	out := make([]T, 0, chunk)
+	buf := make([]byte, chunk*int64(size))
+	for left := count; left > 0; {
+		b := buf[:min(left, chunk)*int64(size)]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return nil, fmt.Errorf("graph: reading %s: %w", what, err)
 		}
-	}
-	return nil
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func insertionSortInt32(a []int32) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j-1] > a[j]; j-- {
-			a[j-1], a[j] = a[j], a[j-1]
+		for i := 0; i < len(b); i += size {
+			out = append(out, decode(b[i:]))
 		}
+		left -= int64(len(b) / size)
 	}
+	return out, nil
 }

@@ -42,6 +42,10 @@ func FuzzReadBinary(f *testing.F) {
 	}
 	f.Add(corrupt)
 	f.Add([]byte{})
+	for _, tc := range corruptBinaryImages(f) {
+		f.Add(tc.image)
+	}
+	f.Add(emptyBinaryImage(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ReadBinary(bytes.NewReader(data))
 		if err != nil {

@@ -13,6 +13,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -146,8 +147,10 @@ func (g *Graph) RankOfWeight(w float64) int {
 	return sort.Search(g.n, func(i int) bool { return g.weights[i] < w })
 }
 
-// Validate checks structural invariants of the CSR representation. It is
-// used by tests and by loaders of untrusted files.
+// Validate checks the invariants of the CSR representation, finite
+// non-increasing weights included. Loaders do not call it: every loader
+// assembles through Builder or FromUpAdjacency, which hold these
+// invariants by construction. Tests and fuzzers use it to check that.
 func (g *Graph) Validate() error {
 	if g.n < 0 {
 		return fmt.Errorf("graph: negative vertex count %d", g.n)
@@ -160,6 +163,9 @@ func (g *Graph) Validate() error {
 	}
 	var halfEdges int64
 	for u := 0; u < g.n; u++ {
+		if math.IsNaN(g.weights[u]) || math.IsInf(g.weights[u], 0) {
+			return fmt.Errorf("graph: vertex %d has non-finite weight %v", u, g.weights[u])
+		}
 		if u > 0 && g.weights[u] > g.weights[u-1] {
 			return fmt.Errorf("graph: weights not sorted at vertex %d", u)
 		}

@@ -2,6 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -177,4 +180,64 @@ func TestReadBinaryErrors(t *testing.T) {
 	if _, err := ReadBinary(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated input: want error")
 	}
+	// Images WriteBinary wrote and a patch corrupted: each breaks one
+	// validation rule of the edge file, which .bin files share.
+	for _, tc := range corruptBinaryImages(t) {
+		if _, err := ReadBinary(bytes.NewReader(tc.image)); err == nil {
+			t.Errorf("%s: want error", tc.name)
+		}
+	}
+	if _, err := ReadBinary(bytes.NewReader(emptyBinaryImage(t))); !errors.Is(err, ErrNoVertices) {
+		t.Errorf("n = 0 header: got %v, want ErrNoVertices", err)
+	}
+}
+
+// cliqueImage is WriteBinary's image of the 4-clique with weights 4, 3, 2
+// and 1, so rank r has weight 4-r and up-list [0, r). The image ends with
+// rank 3's up-list [0 1 2].
+func cliqueImage(t testing.TB) []byte {
+	t.Helper()
+	g := MustFromEdges([]float64{4, 3, 2, 1}, [][2]int32{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}})
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// corruptBinaryImages returns cliqueImage patched to break one rule each.
+func corruptBinaryImages(t testing.TB) []struct {
+	name  string
+	image []byte
+} {
+	le := binary.LittleEndian
+	patch := func(f func(b []byte)) []byte {
+		b := cliqueImage(t)
+		f(b)
+		return b
+	}
+	const weightAt = 20 // the weight section follows the 20-byte header
+	upList := func(b []byte, vs ...uint32) {
+		at := len(b) - 4*len(vs)
+		for i, v := range vs {
+			le.PutUint32(b[at+4*i:], v)
+		}
+	}
+	return []struct {
+		name  string
+		image []byte
+	}{
+		{"NaN weight at rank 2", patch(func(b []byte) { le.PutUint64(b[weightAt+8*2:], math.Float64bits(math.NaN())) })},
+		{"+Inf weight at rank 0", patch(func(b []byte) { le.PutUint64(b[weightAt:], math.Float64bits(math.Inf(1))) })},
+		{"descending up-list", patch(func(b []byte) { upList(b, 2, 1, 0) })},
+		{"duplicate up-neighbour", patch(func(b []byte) { upList(b, 0, 1, 1) })},
+	}
+}
+
+// emptyBinaryImage is a bare header that claims no vertices and no edges.
+func emptyBinaryImage(t testing.TB) []byte {
+	b := cliqueImage(t)[:20]
+	binary.LittleEndian.PutUint64(b[4:], 0)
+	binary.LittleEndian.PutUint64(b[12:], 0)
+	return b
 }

@@ -48,6 +48,9 @@ func growI32(s []int32, n int) []int32 {
 // rank), per-vertex up-degrees, and the concatenation of every up-adjacency
 // list in ascending rank order of its owner, each list strictly ascending.
 // Vertex IDs equal positions, exactly as a prefix of a rank-sorted graph.
+// It is the one assembler of rank-ordered input: edge-file prefixes,
+// .bin files (ReadBinary) and induced subgraphs (InducedSubgraph) all
+// come through it, and the latter two attach original IDs afterwards.
 //
 // Unlike Builder — which re-sorts vertices, normalizes, sorts, and
 // deduplicates the edge list on every Build — this runs in O(p + E) with

@@ -12,7 +12,8 @@ import "fmt"
 // (see internal/cluster.Partition).
 //
 // Cost is O(len(vertices) + deg(vertices)) plus one O(n) scratch vector; no
-// sorting — adjacency rows are filtered in place of g's already-sorted rows.
+// sorting: each kept vertex's up-list is filtered from g's already-sorted
+// one and the graph is assembled by FromUpAdjacency.
 func InducedSubgraph(g *Graph, vertices []int32) (*Graph, error) {
 	if g == nil {
 		return nil, fmt.Errorf("graph: induced subgraph of a nil graph")
@@ -22,8 +23,9 @@ func InducedSubgraph(g *Graph, vertices []int32) (*Graph, error) {
 		return nil, fmt.Errorf("graph: induced subgraph over an empty vertex set")
 	}
 	// local[u] is u's rank in the subgraph, or -1 when u is dropped. The
-	// strictly-ascending requirement makes the mapping monotone, so filtered
-	// adjacency rows stay sorted without re-sorting.
+	// strictly-ascending requirement makes the mapping monotone, so a kept
+	// vertex's kept up-neighbours map to its subgraph up-list, still
+	// strictly ascending.
 	local := make([]int32, g.n)
 	for i := range local {
 		local[i] = -1
@@ -40,49 +42,31 @@ func InducedSubgraph(g *Graph, vertices []int32) (*Graph, error) {
 		prev = u
 	}
 
-	sub := &Graph{
-		n:        p,
-		weights:  make([]float64, p),
-		origID:   make([]int32, p),
-		off:      make([]int64, p+1),
-		upDeg:    make([]int32, p),
-		upPrefix: make([]int64, p+1),
+	weights := make([]float64, p)
+	origID := make([]int32, p)
+	upDeg := make([]int32, p)
+	var upAdj []int32
+	for i, u := range vertices {
+		weights[i] = g.weights[u]
+		origID[i] = g.OrigID(u)
+		before := len(upAdj)
+		for _, v := range g.UpNeighbors(u) {
+			if lv := local[v]; lv >= 0 {
+				upAdj = append(upAdj, lv)
+			}
+		}
+		upDeg[i] = int32(len(upAdj) - before)
 	}
+	sub, err := FromUpAdjacency(weights, upDeg, upAdj, nil)
+	if err != nil {
+		return nil, err
+	}
+	sub.origID = origID
 	if len(g.labels) > 0 {
 		sub.labels = make([]string, p)
-	}
-	var deg int64
-	for i, u := range vertices {
-		sub.weights[i] = g.weights[u]
-		sub.origID[i] = g.OrigID(u)
-		if sub.labels != nil {
+		for i, u := range vertices {
 			sub.labels[i] = g.labels[u]
 		}
-		for _, v := range g.Neighbors(u) {
-			if local[v] >= 0 {
-				deg++
-			}
-		}
-		sub.off[i+1] = deg
 	}
-	sub.adj = make([]int32, deg)
-	var at int64
-	for i, u := range vertices {
-		var up int32
-		for _, v := range g.Neighbors(u) {
-			lv := local[v]
-			if lv < 0 {
-				continue
-			}
-			sub.adj[at] = lv
-			at++
-			if lv < int32(i) {
-				up++
-			}
-		}
-		sub.upDeg[i] = up
-		sub.upPrefix[i+1] = sub.upPrefix[i] + int64(up)
-	}
-	sub.m = deg / 2
 	return sub, nil
 }

@@ -21,8 +21,17 @@ func (ix *Index) ApplyDelta(ng *graph.Graph, cut int) (*Index, error) {
 	return ix.ApplyDeltaContext(context.Background(), ng, cut, 0)
 }
 
-// ApplyDeltaContext returns a fresh index over ng, equal in content to
-// BuildContext(ctx, ng, ...) but built by reusing ix: ng must come from
+// parallelBuildMinWork is the total work — γmax · size(G) elementary
+// peeling units — below which ApplyDeltaContext skips the worker pool even
+// when asked for several workers: under roughly two million units the
+// whole build completes in a few milliseconds, where goroutine startup,
+// the shared claim counter, and cross-core cache traffic cost more than
+// the parallelism recovers (the seed's benchmark showed "parallel" slower
+// than sequential on exactly such a graph).
+const parallelBuildMinWork = 2 << 20
+
+// ApplyDeltaContext returns a fresh index over ng, equal in content to a
+// fresh build on ng but computed by reusing ix: ng must come from
 // graph.ApplyEdgeDeltaCut on ix's graph, and cut is the returned delta
 // cut. The repair exploits that every prefix subgraph G[0, p) with
 // p <= cut is identical in the old and new graphs, so for each γ the
@@ -39,17 +48,30 @@ func (ix *Index) ApplyDelta(ng *graph.Graph, cut int) (*Index, error) {
 // the cut would witness a non-empty γ-core in an unchanged prefix of the
 // old graph, which contradicts the old γmax. Symmetrically, a γ beyond
 // the new γmax is dropped with nothing lost: any old below-cut keynode
-// would still witness a non-empty γ-core in the new graph.
+// would still witness a non-empty γ-core in the new graph. A build is
+// therefore this repair at cut 0 of an index with no decomposition (γmax
+// 0), which is how BuildContext computes every index.
 //
-// Worker semantics match BuildContext (0 = GOMAXPROCS with the
-// small-work sequential escape; per-γ repairs are independent). The
-// result is deterministic and, serialized, byte-identical to a fresh
+// The per-γ repairs are independent and run on a bounded pool of workers,
+// each owning one search engine and pulling γ values off a shared counter.
+// workers <= 0 uses GOMAXPROCS, dropping to a sequential run when the
+// total work is below parallelBuildMinWork; workers == 1 runs sequentially
+// on the calling goroutine; an explicit count is always honored. Workers
+// claim γ values in decreasing order: the high-γ decompositions peel the
+// largest fraction of the graph in their initial cascade and are the
+// longest tasks on the skewed graphs real workloads serve, so fronting
+// them keeps the pool busy to the end instead of leaving the slowest task
+// to run alone after the others drain (longest-processing-time-first
+// scheduling).
+//
+// The result is deterministic and, serialized, byte-identical to a fresh
 // build at any worker count — the property tests enforce exactly that.
 // The cost is still O(size(G)) per γ to peel down to the cut, but the
 // below-cut suffix — the bulk of the decomposition when updates touch
 // only high-rank (low-weight) vertices — is spliced, not recomputed.
-// Cancelling ctx aborts the repair and returns ctx.Err(). ix is never
-// modified; queries may keep serving from it throughout.
+// Cancelling ctx aborts the repair (workers observe the context every few
+// thousand peeling steps) and returns ctx.Err(). ix is never modified;
+// queries may keep serving from it throughout.
 func (ix *Index) ApplyDeltaContext(ctx context.Context, ng *graph.Graph, cut, workers int) (*Index, error) {
 	if ng == nil || ng.NumVertices() == 0 {
 		return nil, errors.New("index: nil or empty graph")
@@ -76,6 +98,9 @@ func (ix *Index) ApplyDeltaContext(ctx context.Context, ng *graph.Graph, cut, wo
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
+		// Only the automatic sizing applies the work threshold: an
+		// explicit worker count is a caller decision (and what the
+		// determinism tests use to force the pool on small graphs).
 		if int64(gmax)*ng.Size() < parallelBuildMinWork {
 			workers = 1
 		}

@@ -14,8 +14,9 @@
 // preparation at all. BenchmarkIndexAll* and BenchmarkIndexBuild quantify
 // both sides.
 //
-// The per-γ decompositions are independent, so Build fans them out over a
-// bounded worker pool (BuildContext controls worker count and
+// The per-γ decompositions are independent, and one routine computes them
+// all: ApplyDeltaContext fans them out over a bounded worker pool, and a
+// build is its repair at cut 0 (BuildContext controls worker count and
 // cancellation). A built index can be persisted with WriteTo and attached
 // to its graph again with ReadFrom, which is what the icindex command and
 // the server's index-first serving path are built on.
@@ -23,15 +24,10 @@ package index
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"influcomm/internal/core"
 	"influcomm/internal/graph"
-	"influcomm/internal/kcore"
 )
 
 // Index holds one CountIC decomposition per γ ∈ [1, γmax]. Queries share
@@ -51,112 +47,13 @@ func Build(g *graph.Graph) (*Index, error) {
 	return BuildContext(context.Background(), g, 0)
 }
 
-// parallelBuildMinWork is the total build work — γmax · size(G) elementary
-// peeling units — below which BuildContext skips the worker pool even when
-// asked for several workers: under roughly two million units the whole
-// build completes in a few milliseconds, where goroutine startup, the
-// shared claim counter, and cross-core cache traffic cost more than the
-// parallelism recovers (the seed's benchmark showed "parallel" slower than
-// sequential on exactly such a graph).
-const parallelBuildMinWork = 2 << 20
-
-// BuildContext constructs the index with a bounded pool of workers, each
-// owning one search engine and pulling γ values off a shared counter.
-// workers <= 0 uses GOMAXPROCS, dropping to a sequential build when the
-// total work is below parallelBuildMinWork; workers == 1 builds
-// sequentially on the calling goroutine; an explicit count is always
-// honored. Cancelling ctx aborts the build (workers observe the context
-// every few thousand peeling steps) and returns ctx.Err().
-//
-// Scheduling is size-aware: workers claim γ values in decreasing order.
-// The high-γ decompositions peel the largest fraction of the graph in
-// their initial cascade and are the longest tasks on the skewed graphs
-// real workloads serve, so fronting them keeps the pool busy to the end
-// instead of leaving the slowest task to run alone after the others drain
-// (longest-processing-time-first scheduling).
-//
-// The result is deterministic: every worker computes the same per-γ
-// decomposition a sequential build would, so the index content is
-// identical regardless of worker count or claim order.
+// BuildContext constructs the index as the delta repair, at cut 0, of an
+// index with no decomposition: every γ is then above the old γmax, so each
+// repair runs the whole peeling and splices nothing. Worker count (0 =
+// GOMAXPROCS, 1 = sequential), scheduling and cancellation are
+// ApplyDeltaContext's, and the result is identical at any worker count.
 func BuildContext(ctx context.Context, g *graph.Graph, workers int) (*Index, error) {
-	if g == nil || g.NumVertices() == 0 {
-		return nil, errors.New("index: nil or empty graph")
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	gmax := kcore.MaxCore(g)
-	ix := &Index{g: g, pool: core.NewPool(g), gammaMax: gmax, perGamma: make([]*core.CVS, gmax)}
-	if gmax == 0 {
-		return ix, nil
-	}
-	n := g.NumVertices()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		// Only the automatic sizing applies the work threshold: an
-		// explicit worker count is a caller decision (and what the
-		// determinism tests use to force the pool on small graphs).
-		if int64(gmax)*g.Size() < parallelBuildMinWork {
-			workers = 1
-		}
-	}
-	if workers > int(gmax) {
-		workers = int(gmax)
-	}
-	if workers == 1 {
-		// Sequential fast path: one engine, reset per γ, no goroutines.
-		eng := core.NewEngine(g, 1)
-		for gamma := int32(1); gamma <= gmax; gamma++ {
-			eng.Reset(gamma)
-			eng.SetContext(ctx)
-			cvs, err := eng.RunInto(nil, n, 0, core.WantSeq)
-			if err != nil {
-				return nil, err
-			}
-			ix.perGamma[gamma-1] = cvs
-		}
-		return ix, nil
-	}
-
-	var (
-		claims   atomic.Int32 // γ claim counter; claim c maps to γ = gmax-c+1
-		failed   atomic.Bool
-		errMu    sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			eng := core.NewEngine(g, 1)
-			for !failed.Load() {
-				c := claims.Add(1)
-				if c > gmax {
-					return
-				}
-				gamma := gmax - c + 1
-				eng.Reset(gamma)
-				eng.SetContext(ctx)
-				cvs, err := eng.RunInto(nil, n, 0, core.WantSeq)
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					failed.Store(true)
-					return
-				}
-				ix.perGamma[gamma-1] = cvs
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return ix, nil
+	return (&Index{g: g}).ApplyDeltaContext(ctx, g, 0, workers)
 }
 
 // Graph returns the graph the index serves.

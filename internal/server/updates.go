@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"strings"
 
 	"influcomm/internal/store"
 )
@@ -16,11 +18,6 @@ type updateJSON struct {
 	// U, V are the edge endpoints as original vertex IDs.
 	U int32 `json:"u"`
 	V int32 `json:"v"`
-}
-
-// updatesRequest is the POST /v1/admin/datasets/{name}/updates body.
-type updatesRequest struct {
-	Updates []updateJSON `json:"updates"`
 }
 
 // updatesResponse reports what the batch did.
@@ -65,6 +62,67 @@ func bodyStatus(err error) int {
 	return http.StatusBadRequest
 }
 
+// decodeUpdates reads a {"updates":[…]} body op by op, so a batch past
+// maxUpdateBatch, or holding a bad op, is refused where it goes wrong,
+// before the rest of the body is read. It reads keys as decoding into a
+// struct with one `updates` field does: the key matches
+// case-insensitively, other keys are skipped, a repeated key's array
+// replaces the earlier one, and null leaves the batch empty.
+func decodeUpdates(r io.Reader) ([]store.EdgeUpdate, error) {
+	dec := json.NewDecoder(r)
+	bad := func(err error) error { return fmt.Errorf("bad request body: %w", err) }
+	if tok, err := dec.Token(); err != nil {
+		return nil, bad(err)
+	} else if tok != json.Delim('{') {
+		return nil, bad(fmt.Errorf("want a JSON object, got %v", tok))
+	}
+	var batch []store.EdgeUpdate
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			return nil, bad(err)
+		}
+		if k, _ := key.(string); !strings.EqualFold(k, "updates") {
+			var skip json.RawMessage
+			if err := dec.Decode(&skip); err != nil {
+				return nil, bad(err)
+			}
+			continue
+		}
+		batch = batch[:0]
+		tok, err := dec.Token()
+		if err != nil {
+			return nil, bad(err)
+		}
+		if tok == nil {
+			continue
+		}
+		if tok != json.Delim('[') {
+			return nil, bad(fmt.Errorf("updates must be an array, got %v", tok))
+		}
+		for dec.More() {
+			if len(batch) == maxUpdateBatch {
+				return nil, fmt.Errorf("batch exceeds the %d-op limit", maxUpdateBatch)
+			}
+			var u updateJSON
+			if err := dec.Decode(&u); err != nil {
+				return nil, bad(err)
+			}
+			if u.Op != "" && u.Op != "insert" && u.Op != "delete" {
+				return nil, fmt.Errorf("bad op %q (want \"insert\" or \"delete\")", u.Op)
+			}
+			batch = append(batch, store.EdgeUpdate{U: u.U, V: u.V, Delete: u.Op == "delete"})
+		}
+		if _, err := dec.Token(); err != nil { // the array's ']'
+			return nil, bad(err)
+		}
+	}
+	if _, err := dec.Token(); err != nil { // the object's '}'
+		return nil, bad(err)
+	}
+	return batch, nil
+}
+
 // handleApplyUpdates serves POST /v1/admin/datasets/{name}/updates: apply
 // one batch of edge insertions/deletions to a mutable dataset. The dataset
 // keeps serving throughout — in-flight queries finish on the snapshot they
@@ -77,30 +135,14 @@ func (s *Server) handleApplyUpdates(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.PathValue("name")
-	var req updatesRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUpdatesBody)).Decode(&req); err != nil {
-		writeJSON(w, bodyStatus(err), map[string]string{"error": "bad request body: " + err.Error()})
+	batch, err := decodeUpdates(http.MaxBytesReader(w, r.Body, maxUpdatesBody))
+	if err != nil {
+		writeJSON(w, bodyStatus(err), map[string]string{"error": err.Error()})
 		return
 	}
-	if len(req.Updates) == 0 {
+	if len(batch) == 0 {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "updates must hold at least one operation"})
 		return
-	}
-	if len(req.Updates) > maxUpdateBatch {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("batch of %d exceeds the %d-op limit", len(req.Updates), maxUpdateBatch)})
-		return
-	}
-	batch := make([]store.EdgeUpdate, len(req.Updates))
-	for i, u := range req.Updates {
-		switch u.Op {
-		case "", "insert":
-		case "delete":
-			batch[i].Delete = true
-		default:
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad op %q (want \"insert\" or \"delete\")", u.Op)})
-			return
-		}
-		batch[i].U, batch[i].V = u.U, u.V
 	}
 
 	ds := s.registry.acquireLookup(name)

@@ -231,7 +231,9 @@ func datasetNamed(t *testing.T, ds []DatasetInfo, name string) *DatasetInfo {
 	return nil
 }
 
-// TestUpdateValidationErrors covers the endpoint's rejection paths.
+// TestUpdateValidationErrors covers the endpoint's rejection paths, and
+// which body shapes it reads as a batch: the ones decoding into a struct
+// with one `updates` field accepts.
 func TestUpdateValidationErrors(t *testing.T) {
 	ts, _, _ := mutableServer(t)
 	cases := []struct {
@@ -241,6 +243,17 @@ func TestUpdateValidationErrors(t *testing.T) {
 		{"empty batch", "dyn", `{"updates":[]}`, http.StatusBadRequest},
 		{"bad op", "dyn", `{"updates":[{"op":"upsert","u":0,"v":1}]}`, http.StatusBadRequest},
 		{"bad body", "dyn", `{`, http.StatusBadRequest},
+		{"unknown keys skipped", "dyn", `{"x":[1,{"updates":2}],"updates":[{"u":4,"v":5}],"y":null}`, http.StatusOK},
+		{"key folds case", "dyn", `{"UpDaTeS":[{"u":4,"v":5}]}`, http.StatusOK},
+		{"last array wins", "dyn", `{"updates":[{"u":0,"v":99},{"u":0,"v":99}],"updates":[{"u":4,"v":5}]}`, http.StatusOK},
+		{"last null wins", "dyn", `{"updates":[{"u":4,"v":5}],"updates":null}`, http.StatusBadRequest},
+		{"null updates", "dyn", `{"updates":null}`, http.StatusBadRequest},
+		{"no updates key", "dyn", `{}`, http.StatusBadRequest},
+		{"array body", "dyn", `[{"u":4,"v":5}]`, http.StatusBadRequest},
+		{"null body", "dyn", `null`, http.StatusBadRequest},
+		{"object updates", "dyn", `{"updates":{"u":4,"v":5}}`, http.StatusBadRequest},
+		{"bad field type", "dyn", `{"updates":[{"u":"4","v":5}]}`, http.StatusBadRequest},
+		{"unterminated", "dyn", `{"updates":[{"u":4,"v":5}]`, http.StatusBadRequest},
 		{"self loop", "dyn", `{"updates":[{"u":3,"v":3}]}`, http.StatusBadRequest},
 		{"unknown vertex", "dyn", `{"updates":[{"u":0,"v":99}]}`, http.StatusBadRequest},
 		{"immutable dataset", "default", `{"updates":[{"u":0,"v":4}]}`, http.StatusBadRequest},
@@ -251,6 +264,36 @@ func TestUpdateValidationErrors(t *testing.T) {
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: got %d (%s), want %d", tc.name, resp.StatusCode, body, tc.want)
 		}
+	}
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// TestUpdatesPastCapRefusedEarly: a compact batch past maxUpdateBatch
+// answers 400 once its first excess op arrives, leaving the body's tail
+// unread rather than buffering the whole value before counting it.
+func TestUpdatesPastCapRefusedEarly(t *testing.T) {
+	ts, _, _ := mutableServer(t)
+	const op = `{"u":4,"v":5}`
+	body := `{"updates":[` + strings.Repeat(op+",", maxUpdateBatch+999) + op + `]}`
+	cr := &countingReader{r: strings.NewReader(body)}
+	w := httptest.NewRecorder()
+	ts.Config.Handler.ServeHTTP(w, httptest.NewRequest("POST", "/v1/admin/datasets/dyn/updates", cr))
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("status %d %s, want 400", w.Code, w.Body)
+	}
+	if cr.n >= int64(len(body)) {
+		t.Errorf("read all %d bytes of the body before refusing it", cr.n)
 	}
 }
 
