@@ -22,7 +22,16 @@ import (
 // A Pool is safe for concurrent use; each checked-out engine is used by one
 // goroutine at a time.
 type Pool struct {
-	g       *graph.Graph
+	g *graph.Graph
+	*pools
+}
+
+// pools holds a Pool's recycled state apart from its graph, and a pooled
+// engine drops its graph until Get binds it again. The runtime keeps every
+// sync.Pool used since the last collection reachable through the next one;
+// holding the graph, they would keep a superseded snapshot alive that long
+// after its last query let go of it.
+type pools struct {
 	engines sync.Pool // *Engine
 	buffers sync.Pool // *CVS
 	enums   sync.Pool // *EnumState
@@ -30,10 +39,8 @@ type Pool struct {
 
 // NewPool returns a Pool serving queries over g.
 func NewPool(g *graph.Graph) *Pool {
-	p := &Pool{g: g}
-	p.engines.New = func() any { return NewEngine(g, 0) }
+	p := &Pool{g: g, pools: &pools{}}
 	p.buffers.New = func() any { return new(CVS) }
-	p.enums.New = func() any { return NewEnumState(g.NumVertices()) }
 	return p
 }
 
@@ -50,7 +57,11 @@ func (p *Pool) Materialize(int) (*graph.Graph, error) { return p.g, nil }
 // Get checks an engine out of the pool, reset to the given γ. Return it
 // with Put when the query is done.
 func (p *Pool) Get(gamma int32) *Engine {
-	e := p.engines.Get().(*Engine)
+	e, _ := p.engines.Get().(*Engine)
+	if e == nil {
+		e = NewEngine(p.g, 0)
+	}
+	e.g = p.g
 	e.Reset(gamma)
 	return e
 }
@@ -58,6 +69,7 @@ func (p *Pool) Get(gamma int32) *Engine {
 // Put returns an engine obtained from Get to the pool.
 func (p *Pool) Put(e *Engine) {
 	e.SetContext(nil)
+	e.g = nil
 	p.engines.Put(e)
 }
 
@@ -75,7 +87,10 @@ func (p *Pool) TopK(ctx context.Context, k int, gamma int32, opts Options) (*Res
 // EnumState, which Recycle resets in output-size time, so a call
 // allocates only the communities it returns.
 func (p *Pool) EnumIC(c *CVS, k int) []*Community {
-	enum := p.enums.Get().(*EnumState)
+	enum, _ := p.enums.Get().(*EnumState)
+	if enum == nil {
+		enum = NewEnumState(p.g.NumVertices())
+	}
 	comms := enum.Process(p.g, c, k)
 	enum.Recycle()
 	p.enums.Put(enum)

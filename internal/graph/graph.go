@@ -126,8 +126,14 @@ func (g *Graph) PrefixForSize(want int64) int {
 }
 
 // DegreeWithin returns the number of neighbors of u with rank < p, i.e. u's
-// degree inside the prefix subgraph [0, p). It runs in O(log deg(u)).
+// degree inside the prefix subgraph [0, p). It runs in O(log deg(u)), and
+// in O(1) when p >= n: the prefix is then the whole graph, so the whole
+// row counts, which is what every peel over the whole graph (an index
+// build or repair) asks for.
 func (g *Graph) DegreeWithin(u int32, p int) int32 {
+	if p >= g.n {
+		return g.Degree(u)
+	}
 	row := g.adj[g.off[u]:g.off[u+1]]
 	return int32(sort.Search(len(row), func(i int) bool { return int(row[i]) >= p }))
 }

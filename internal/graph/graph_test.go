@@ -122,6 +122,25 @@ func TestDegreeWithin(t *testing.T) {
 	}
 }
 
+// TestDegreeWithinWholeGraph pins the O(1) branch: a prefix that covers
+// the whole graph (p = n, or any p beyond it) yields the whole row, the
+// same slice Neighbors returns.
+func TestDegreeWithinWholeGraph(t *testing.T) {
+	g := small(t)
+	n := g.NumVertices()
+	for u := int32(0); int(u) < n; u++ {
+		for _, p := range []int{n, n + 1, 2 * n} {
+			if got, want := g.DegreeWithin(u, p), g.Degree(u); got != want {
+				t.Errorf("DegreeWithin(%d, %d) = %d, want Degree %d", u, p, got, want)
+			}
+			got, want := g.NeighborsWithin(u, p), g.Neighbors(u)
+			if len(got) != len(want) || (len(got) > 0 && &got[0] != &want[0]) {
+				t.Errorf("NeighborsWithin(%d, %d) = %v, want Neighbors %v", u, p, got, want)
+			}
+		}
+	}
+}
+
 func TestBuilderDeduplication(t *testing.T) {
 	var b Builder
 	b.AddVertex(0, 3)

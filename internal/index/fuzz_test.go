@@ -2,10 +2,12 @@ package index
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
 	"influcomm/internal/gen"
+	"influcomm/internal/graph"
 )
 
 // fuzzGraph is the fixed graph fuzz inputs are bound against; ReadFrom
@@ -54,6 +56,108 @@ func FuzzReadFrom(f *testing.F) {
 					}
 				}
 			}
+		}
+	})
+}
+
+// fuzzToggles turns byte pairs into one update batch on g: pair (a, b)
+// toggles edge {a mod n, b mod n}, inserting it when absent and deleting
+// it when present. Self loops and repeats within the batch are skipped,
+// and an odd trailing byte is ignored.
+func fuzzToggles(g *graph.Graph, pairs []byte) (inserts, deletes [][2]int32) {
+	n := g.NumVertices()
+	seen := map[[2]int32]bool{}
+	for i := 0; i+1 < len(pairs); i += 2 {
+		u, v := int32(int(pairs[i])%n), int32(int(pairs[i+1])%n)
+		if u == v {
+			continue
+		}
+		if u > v {
+			u, v = v, u
+		}
+		e := [2]int32{u, v}
+		if seen[e] {
+			continue
+		}
+		seen[e] = true
+		if g.HasEdge(u, v) {
+			deletes = append(deletes, e)
+		} else {
+			inserts = append(inserts, e)
+		}
+	}
+	return inserts, deletes
+}
+
+// FuzzApplyDelta chains two or three update batches on a small random
+// graph and repairs the index after each one: at workers 1 and 2 the
+// repaired index must serialize byte-identically to a fresh Build and
+// answer TopK(1, γ) like it for every γ. graphSeed picks the graph (12 to
+// 48 vertices, average degree 0 to 7). ops holds the batches, each a run
+// of byte pairs for fuzzToggles, separated by 0xFF bytes; the third batch
+// runs to the end of ops, and ops without a separator is followed by an
+// empty batch.
+func FuzzApplyDelta(f *testing.F) {
+	pairsAmong := func(vs ...byte) []byte {
+		var out []byte
+		for i, u := range vs {
+			for _, v := range vs[i+1:] {
+				out = append(out, u, v)
+			}
+		}
+		return out
+	}
+	batches := func(bs ...[]byte) []byte { return bytes.Join(bs, []byte{0xFF}) }
+	k8, tri := pairsAmong(12, 13, 14, 15, 16, 17, 18, 19), pairsAmong(17, 18, 19)
+	// Graph seed 3 has 15 vertices and average degree 3: touch rank 0
+	// (cut 0, nothing spliced), then only the two lightest vertices.
+	f.Add(uint64(3), batches([]byte{0, 14}, []byte{13, 14}))
+	// Graph seed 8 has 20 vertices and no edges, so no decomposition: a
+	// clique on the 8 lightest vertices grows γmax from 0 to 7, and
+	// toggling it again deletes every edge, trimming γmax back to 0.
+	f.Add(uint64(8), batches(k8, k8))
+	// The same graph grows by the upward probe instead: a triangle (γmax
+	// 2), the clique's toggles (which delete the triangle: γmax 5), then the
+	// triangle again (the whole clique, γmax 7).
+	f.Add(uint64(8), batches(tri, k8, tri))
+	// Graph seed 45 has 20 vertices and average degree 5: light toggles.
+	f.Add(uint64(45), batches([]byte{15, 19, 16, 18}, []byte{17, 19}, []byte{15, 16, 18, 19}))
+	f.Fuzz(func(t *testing.T, graphSeed uint64, ops []byte) {
+		g := gen.Random(12+int(graphSeed%37), float64(graphSeed%8), graphSeed)
+		ix, err := Build(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunks := bytes.SplitN(ops, []byte{0xFF}, 3)
+		if len(chunks) < 2 {
+			chunks = append(chunks, nil)
+		}
+		for bi, chunk := range chunks {
+			ins, del := fuzzToggles(g, chunk)
+			ng, cut, err := graph.ApplyEdgeDeltaCut(g, ins, del)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := Build(ng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := serialized(t, fresh)
+			var next *Index
+			for _, workers := range []int{1, 2} {
+				rix, err := ix.ApplyDeltaContext(context.Background(), ng, cut, workers)
+				if err != nil {
+					t.Fatalf("batch %d workers %d: %v", bi, workers, err)
+				}
+				if !bytes.Equal(serialized(t, rix), want) {
+					t.Fatalf("batch %d workers %d cut %d: repaired index differs from fresh build", bi, workers, cut)
+				}
+				for gamma := int32(1); gamma <= fresh.GammaMax(); gamma++ {
+					assertSameTopK(t, rix, fresh, 1, gamma)
+				}
+				next = rix
+			}
+			g, ix = ng, next
 		}
 	})
 }

@@ -17,7 +17,12 @@
 // The per-γ decompositions are independent, and one routine computes them
 // all: ApplyDeltaContext fans them out over a bounded worker pool, and a
 // build is its repair at cut 0 (BuildContext controls worker count and
-// cancellation). A built index can be persisted with WriteTo and attached
+// cancellation). A repair answers the rebuild the paper faults indexes
+// for: per γ it peels the new graph only down to the delta's cut and
+// copies the old decomposition's tail below it, and it visits γ = 1 …
+// γmax + 1 of the old index without a core decomposition of the new graph
+// (trimming the γ the delta emptied, probing past γmax + 1 only if that
+// one survived). A built index can be persisted with WriteTo and attached
 // to its graph again with ReadFrom, which is what the icindex command and
 // the server's index-first serving path are built on.
 package index
